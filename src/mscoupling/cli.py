@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import metrics, report
@@ -36,6 +36,14 @@ EXIT_PARTIAL = 3
 EMIT_CHOICES = ("csv", "dot", "svg")
 CORPUS_SUMMARY = "corpus_summary.csv"
 CORPUS_ERRORS = "corpus_errors.txt"
+# Every file a project analysis can write; a run removes the ones it did not write.
+OUTPUT_NAMES = (
+    "service_metrics.csv",
+    *(f"pair_{metric}.csv" for metric in report.PAIR_METRICS),
+    "summary.csv",
+    "graph.dot",
+    "graph.svg",
+)
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,31 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     )
 
 
-def _analysis_files(graph: ServiceGraph, summary: ProjectSummary, config: CliConfig) -> dict[str, str]:
-    """All output texts for one project, computed before anything is written."""
+def _write_files(out_dir: Path, files: dict[str, str]) -> None:
+    """Write via temporary names so failed runs leave no partial files."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for filename, content in files.items():
+        tmp = out_dir / (filename + ".tmp")
+        tmp.write_text(content, encoding="utf-8", newline="\n")
+        os.replace(tmp, out_dir / filename)
+
+
+def _summary_line(graph: ServiceGraph, summary: ProjectSummary, options: RenderOptions) -> str:
+    places = options.decimal_places
+    sc_max = f"{summary.sc.max:.{places}f}" if summary.sc.count else "-"
+    sc_avg = f"{summary.sc.avg:.{places}f}" if summary.sc.count else "-"
+    return (
+        f"{summary.project_name}: services={len(graph.nodes)} edges={len(graph.edges)} "
+        f"siy={summary.siy} sc_max={sc_max} sc_avg={sc_avg}"
+    )
+
+
+def _write_outputs(graph: ServiceGraph, config: CliConfig, summary: ProjectSummary | None = None) -> None:
+    """Write the outputs named in ``config.emit`` to ``config.out_dir``; csv needs ``summary``.
+
+    Every text is computed before anything is written, and outputs of an
+    earlier run that this one did not produce are removed afterwards.
+    """
     files: dict[str, str] = {}
     if "csv" in config.emit:
         files["service_metrics.csv"] = report.emit_service_metrics_csv(graph, config.options)
@@ -121,43 +152,28 @@ def _analysis_files(graph: ServiceGraph, summary: ProjectSummary, config: CliCon
         files["graph.dot"] = report.emit_dot(graph, config.options)
     if "svg" in config.emit:
         files["graph.svg"] = report.emit_svg(graph, config.options)
-    return files
-
-
-def _write_files(out_dir: Path, files: dict[str, str]) -> None:
-    """Write via temporary names so failed runs leave no partial files."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for filename, content in files.items():
-        tmp = out_dir / (filename + ".tmp")
-        tmp.write_text(content, encoding="utf-8", newline="\n")
-        os.replace(tmp, out_dir / filename)
-
-
-def _summary_line(name: str, graph: ServiceGraph, summary: ProjectSummary, options: RenderOptions) -> str:
-    places = options.decimal_places
-    sc_max = f"{summary.sc.max:.{places}f}" if summary.sc.count else "-"
-    sc_avg = f"{summary.sc.avg:.{places}f}" if summary.sc.count else "-"
-    return (
-        f"{name}: services={len(graph.nodes)} edges={len(graph.edges)} "
-        f"siy={summary.siy} sc_max={sc_max} sc_avg={sc_avg}"
-    )
-
-
-def _analyze_graph(graph: ServiceGraph, name: str, config: CliConfig) -> int:
-    summary = metrics.project_summary(graph, name)
-    files = _analysis_files(graph, summary, config)
     _write_files(config.out_dir, files)
-    print(_summary_line(name, graph, summary, config.options))
-    return EXIT_OK
+    for filename in OUTPUT_NAMES:
+        if filename not in files:
+            (config.out_dir / filename).unlink(missing_ok=True)
+
+
+def _analyze_graph(graph: ServiceGraph, name: str, config: CliConfig) -> tuple[ProjectSummary, str]:
+    """Write the full analysis; return the project summary and its summary line."""
+    summary = metrics.project_summary(graph, name)
+    _write_outputs(graph, config, summary)
+    return summary, _summary_line(graph, summary, config.options)
 
 
 def cmd_analyze(config: CliConfig) -> int:
     graph, descriptor = load_project(config.input_path, config.fmt)
-    return _analyze_graph(graph, descriptor.name, config)
+    print(_analyze_graph(graph, descriptor.name, config)[1])
+    return EXIT_OK
 
 
 def cmd_example(config: CliConfig) -> int:
-    return _analyze_graph(sample_graph(), SAMPLE_PROJECT_NAME, config)
+    print(_analyze_graph(sample_graph(), SAMPLE_PROJECT_NAME, config)[1])
+    return EXIT_OK
 
 
 def cmd_render(config: CliConfig) -> int:
@@ -165,12 +181,7 @@ def cmd_render(config: CliConfig) -> int:
     emit = tuple(target for target in config.emit if target in ("dot", "svg"))
     if not emit:
         raise ValidationError("render emits only dot/svg; pass --emit dot,svg")
-    files: dict[str, str] = {}
-    if "dot" in emit:
-        files["graph.dot"] = report.emit_dot(graph, config.options)
-    if "svg" in emit:
-        files["graph.svg"] = report.emit_svg(graph, config.options)
-    _write_files(config.out_dir, files)
+    _write_outputs(graph, replace(config, emit=emit))
     return EXIT_OK
 
 
@@ -179,22 +190,16 @@ def _process_corpus_project(descriptor_path: Path, config: CliConfig):
     dir_name = descriptor_path.parent.name
     try:
         graph, descriptor = load_project(descriptor_path, "descriptor")
-        summary = metrics.project_summary(graph, descriptor.name)
-        files = _analysis_files(graph, summary, config)
-        _write_files(config.out_dir / dir_name, files)
-        line = _summary_line(descriptor.name, graph, summary, config.options)
+        summary, line = _analyze_graph(graph, descriptor.name, replace(config, out_dir=config.out_dir / dir_name))
         return dir_name, descriptor.name, summary, line, None
     except (CouplingError, OSError) as exc:
         return dir_name, None, None, None, str(exc)
 
 
 def cmd_corpus(config: CliConfig) -> int:
-    index = load_corpus(config.input_path)
-    if config.jobs > 1 and index.projects:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda p: _process_corpus_project(p, config), index.projects))
-    else:
-        results = [_process_corpus_project(path, config) for path in index.projects]
+    projects = load_corpus(config.input_path)
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        results = list(pool.map(lambda path: _process_corpus_project(path, config), projects))
 
     results.sort(key=lambda item: item[0])
     failures: list[tuple[str, str]] = []
@@ -256,3 +261,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,11 +1,11 @@
 """Directed service dependency graph model.
 
 Nodes are services, edges are weighted structural dependencies between
-them.  A :class:`ServiceGraph` is an immutable value: construction
-happens by accumulation (``add_service`` / ``add_dependency`` return new
-graphs) and a finished graph can be shared freely between analysis
-tasks.  All degree queries sum edge weights, so three recorded calls
-from A to B count as three dependencies, not one.
+them.  Each record type checks its own fields on construction, so every
+parser and library caller gets the same rules.  A :class:`ServiceGraph`
+is an immutable value that can be shared freely between analysis tasks.
+All degree queries sum edge weights, so three recorded calls from A to B
+count as three dependencies, not one.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ def _check_id(value: str) -> str:
     return value
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class EdgeKind(str, Enum):
     """Provenance of a dependency record; ignored by all metrics."""
 
@@ -62,7 +66,7 @@ class ServiceNode:
         _check_id(self.id)
         for field_name in ("class_count", "loc"):
             value = getattr(self, field_name)
-            if value is not None and (not isinstance(value, int) or value < 0):
+            if value is not None and (not _is_int(value) or value < 0):
                 raise ValidationError(
                     f"service {self.id!r}: {field_name} must be a non-negative integer, got {value!r}"
                 )
@@ -82,11 +86,11 @@ class DependencyEdge:
         _check_id(self.target)
         if self.source == self.target:
             raise SelfDependency(f"service {self.source!r} cannot depend on itself")
-        if not isinstance(self.weight, int) or self.weight < 1:
+        if not _is_int(self.weight) or self.weight < 1:
             raise ValidationError(
                 f"edge {self.source!r}->{self.target!r}: weight must be a positive integer, got {self.weight!r}"
             )
-        if isinstance(self.kind, str) and not isinstance(self.kind, EdgeKind):
+        if not isinstance(self.kind, EdgeKind):
             try:
                 object.__setattr__(self, "kind", EdgeKind(self.kind))
             except ValueError:
@@ -141,23 +145,6 @@ class ServiceGraph:
     ) -> "ServiceGraph":
         return cls(tuple(nodes), tuple(edges))
 
-    def add_service(self, node: ServiceNode) -> "ServiceGraph":
-        """Return a new graph with ``node`` added; the receiver is unchanged."""
-        if self.has_service(node.id):
-            raise DuplicateService(f"service {node.id!r} already present")
-        return ServiceGraph(self.nodes + (node,), self.edges)
-
-    def add_dependency(self, edge: DependencyEdge) -> "ServiceGraph":
-        """Return a new graph with ``edge`` added.
-
-        An existing record with the same (source, target, kind) is
-        merged by summing weights.
-        """
-        for endpoint in (edge.source, edge.target):
-            if not self.has_service(endpoint):
-                raise UnknownService(f"unknown service {endpoint!r}")
-        return ServiceGraph(self.nodes, self.edges + (edge,))
-
     # -- lookup -----------------------------------------------------------
 
     @cached_property
@@ -203,10 +190,6 @@ class ServiceGraph:
             if service not in self._by_id:
                 raise UnknownService(f"unknown service {service!r}")
 
-    @property
-    def total_edge_weight(self) -> int:
-        return sum(self._directed_weight.values())
-
     # -- degrees ----------------------------------------------------------
 
     def pair_outdegree(self, s1: ServiceId, s2: ServiceId) -> int:
@@ -215,10 +198,6 @@ class ServiceGraph:
         if s1 == s2:
             raise ValueError("pair degrees need two distinct services")
         return self._directed_weight.get((s1, s2), 0)
-
-    def pair_indegree(self, s1: ServiceId, s2: ServiceId) -> int:
-        """Total weight of dependencies directed from ``s2`` to ``s1``."""
-        return self.pair_outdegree(s2, s1)
 
     def pair_degree(self, s1: ServiceId, s2: ServiceId) -> int:
         """Total dependency weight between the two services, either direction."""
@@ -256,10 +235,6 @@ class ServiceGraph:
             pairs.add((source, target))
             pairs.add((target, source))
         return tuple(sorted(pairs))
-
-    def is_bidirectional(self, s1: ServiceId, s2: ServiceId) -> bool:
-        """True when dependencies run in both directions between the pair."""
-        return self.pair_outdegree(s1, s2) >= 1 and self.pair_indegree(s1, s2) >= 1
 
     @cached_property
     def _undirected_adjacency(self) -> dict[str, tuple[str, ...]]:

@@ -19,12 +19,12 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
 
-from .errors import ParseError, ValidationError
+from .errors import CouplingError, ParseError, ValidationError
 from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode
 
 logger = logging.getLogger(__name__)
@@ -36,51 +36,18 @@ FORMATS = ("auto", "descriptor", "edges", "compose")
 
 
 @dataclass(frozen=True)
-class ServiceEntry:
-    """One service record of a project descriptor."""
-
-    id: str
-    classes: int | None = None
-    loc: int | None = None
-    source_dir: str | None = None
-
-
-@dataclass(frozen=True)
-class EdgeEntry:
-    """One dependency record of a project descriptor."""
-
-    source: str
-    target: str
-    weight: int = 1
-    kind: EdgeKind = EdgeKind.CALL
-
-
-@dataclass(frozen=True)
 class ProjectDescriptor:
+    """A parsed project: its services and its raw, unmerged dependency records.
+
+    ``source_dirs`` maps a service id to a directory, relative to the
+    descriptor, whose source files give the class count when the
+    service declares none.
+    """
+
     name: str
-    services: tuple[ServiceEntry, ...] = ()
-    edges: tuple[EdgeEntry, ...] = ()
-
-
-@dataclass(frozen=True)
-class CorpusIndex:
-    """Descriptor locations discovered under a corpus root, sorted."""
-
-    root: Path
-    projects: tuple[Path, ...]
-
-
-def _require_non_negative_int(value: object, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValidationError(f"{what} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _parse_kind(value: object, what: str) -> EdgeKind:
-    try:
-        return EdgeKind(value)
-    except ValueError:
-        raise ValidationError(f"{what}: unknown dependency kind {value!r}") from None
+    services: tuple[ServiceNode, ...] = ()
+    edges: tuple[DependencyEdge, ...] = ()
+    source_dirs: dict[str, str] = field(default_factory=dict)
 
 
 def parse_project_descriptor(text: str) -> ProjectDescriptor:
@@ -106,8 +73,9 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
     if not isinstance(name, str) or not name:
         raise ValidationError("descriptor needs a non-empty string 'name'")
 
-    services: list[ServiceEntry] = []
+    services: list[ServiceNode] = []
     seen_ids: set[str] = set()
+    source_dirs: dict[str, str] = {}
     raw_services = document.get("services", [])
     if not isinstance(raw_services, list):
         raise ValidationError("'services' must be an array")
@@ -117,24 +85,21 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
         unknown = sorted(set(raw) - {"id", "classes", "loc", "source_dir"})
         if unknown:
             logger.warning("service #%d: ignoring unknown fields %s", position, ", ".join(unknown))
-        service_id = raw.get("id")
-        if not isinstance(service_id, str) or not service_id:
-            raise ValidationError(f"service #{position} needs a non-empty string 'id'")
-        if service_id in seen_ids:
-            raise ValidationError(f"duplicate service id {service_id!r}")
-        seen_ids.add(service_id)
-        classes = raw.get("classes")
-        if classes is not None:
-            classes = _require_non_negative_int(classes, f"service {service_id!r}: classes")
-        loc = raw.get("loc")
-        if loc is not None:
-            loc = _require_non_negative_int(loc, f"service {service_id!r}: loc")
+        try:
+            node = ServiceNode(raw.get("id"), raw.get("classes"), raw.get("loc"))
+        except CouplingError as exc:
+            raise ValidationError(f"service #{position}: {exc}") from None
+        if node.id in seen_ids:
+            raise ValidationError(f"service #{position}: duplicate service id {node.id!r}")
+        seen_ids.add(node.id)
         source_dir = raw.get("source_dir")
-        if source_dir is not None and not isinstance(source_dir, str):
-            raise ValidationError(f"service {service_id!r}: source_dir must be a string")
-        services.append(ServiceEntry(service_id, classes, loc, source_dir))
+        if source_dir is not None:
+            if not isinstance(source_dir, str):
+                raise ValidationError(f"service #{position}: source_dir must be a string")
+            source_dirs[node.id] = source_dir
+        services.append(node)
 
-    edges: list[EdgeEntry] = []
+    edges: list[DependencyEdge] = []
     raw_edges = document.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ValidationError("'edges' must be an array")
@@ -144,23 +109,21 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
         unknown = sorted(set(raw) - {"source", "target", "weight", "kind"})
         if unknown:
             logger.warning("edge #%d: ignoring unknown fields %s", position, ", ".join(unknown))
-        source = raw.get("source")
-        target = raw.get("target")
-        for endpoint in (source, target):
-            if not isinstance(endpoint, str) or not endpoint:
-                raise ValidationError(f"edge #{position} needs string 'source' and 'target'")
+        try:
+            edge = DependencyEdge(
+                raw.get("source"), raw.get("target"), raw.get("weight", 1), raw.get("kind", EdgeKind.CALL)
+            )
+        except CouplingError as exc:
+            raise ValidationError(f"edge #{position}: {exc}") from None
+        for endpoint in (edge.source, edge.target):
             if endpoint not in seen_ids:
                 raise ValidationError(f"edge #{position} references undeclared service {endpoint!r}")
-        weight = raw.get("weight", 1)
-        if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
-            raise ValidationError(f"edge {source!r}->{target!r}: weight must be a positive integer")
-        kind = _parse_kind(raw.get("kind", "call"), f"edge {source!r}->{target!r}")
-        edges.append(EdgeEntry(source, target, weight, kind))
+        edges.append(edge)
 
-    return ProjectDescriptor(name=name, services=tuple(services), edges=tuple(edges))
+    return ProjectDescriptor(name, tuple(services), tuple(edges), source_dirs)
 
 
-def parse_edge_csv(text: str) -> tuple[EdgeEntry, ...]:
+def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
     """Parse an edge list CSV with header ``source,target[,weight[,kind]]``.
 
     Blank lines are skipped; empty optional cells fall back to the
@@ -168,7 +131,7 @@ def parse_edge_csv(text: str) -> tuple[EdgeEntry, ...]:
     """
     reader = csv.reader(io.StringIO(text))
     header: list[str] | None = None
-    entries: list[EdgeEntry] = []
+    edges: list[DependencyEdge] = []
     for row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -186,23 +149,20 @@ def parse_edge_csv(text: str) -> tuple[EdgeEntry, ...]:
             raise ParseError(
                 f"expected {len(header)} columns, got {len(cells)}", line=reader.line_num
             )
-        source, target = cells[0], cells[1]
         weight = 1
         if len(cells) >= 3 and cells[2]:
             try:
                 weight = int(cells[2])
             except ValueError:
                 raise ParseError(f"weight {cells[2]!r} is not an integer", line=reader.line_num) from None
-        kind = EdgeKind.CALL
-        if len(cells) >= 4 and cells[3]:
-            try:
-                kind = EdgeKind(cells[3])
-            except ValueError:
-                raise ParseError(f"unknown kind {cells[3]!r}", line=reader.line_num) from None
-        entries.append(EdgeEntry(source, target, weight, kind))
+        kind = cells[3] if len(cells) >= 4 and cells[3] else EdgeKind.CALL
+        try:
+            edges.append(DependencyEdge(cells[0], cells[1], weight, kind))
+        except CouplingError as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
     if header is None:
         raise ParseError("missing header row")
-    return tuple(entries)
+    return tuple(edges)
 
 
 def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
@@ -229,8 +189,13 @@ def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
     if not isinstance(raw_services, dict):
         raise ParseError("'services' must be a mapping")
 
-    service_names = [str(service) for service in raw_services]
-    declared = set(service_names)
+    services: list[ServiceNode] = []
+    for position, service in enumerate(raw_services):
+        try:
+            services.append(ServiceNode(str(service)))
+        except CouplingError as exc:
+            raise ValidationError(f"service #{position}: {exc}") from None
+    declared = {node.id for node in services}
     hints: dict[tuple[str, str], int] = {}
     for service, config in raw_services.items():
         service = str(service)
@@ -264,9 +229,9 @@ def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
 
     return ProjectDescriptor(
         name=name,
-        services=tuple(ServiceEntry(service) for service in service_names),
+        services=tuple(services),
         edges=tuple(
-            EdgeEntry(source, target, weight, EdgeKind.COMPOSE)
+            DependencyEdge(source, target, weight, EdgeKind.COMPOSE)
             for (source, target), weight in hints.items()
         ),
     )
@@ -284,65 +249,29 @@ def count_source_units(directory: Path, extensions: tuple[str, ...] = DEFAULT_SO
 def build_graph(descriptor: ProjectDescriptor, base_dir: Path | None = None) -> ServiceGraph:
     """Materialize a descriptor into an immutable graph.
 
-    When a service declares ``source_dir`` but no explicit class count
-    and ``base_dir`` is given, the class count is derived by counting
-    source files under ``base_dir / source_dir``.
+    When ``base_dir`` is given, a service without a class count but with
+    a ``source_dirs`` entry gets the number of source files under
+    ``base_dir / source_dir`` as its class count.
     """
-    nodes = []
-    for entry in descriptor.services:
-        class_count = entry.classes
-        if class_count is None and entry.source_dir is not None and base_dir is not None:
-            class_count = count_source_units(Path(base_dir) / entry.source_dir)
-        nodes.append(ServiceNode(entry.id, class_count=class_count, loc=entry.loc))
-    edges = [
-        DependencyEdge(entry.source, entry.target, entry.weight, entry.kind)
-        for entry in descriptor.edges
-    ]
-    return ServiceGraph.build(nodes, edges)
-
-
-def descriptor_from_graph(graph: ServiceGraph, name: str) -> ProjectDescriptor:
-    """Re-emit a graph as a canonical descriptor (sorted, merged edges)."""
-    return ProjectDescriptor(
-        name=name,
-        services=tuple(
-            ServiceEntry(node.id, classes=node.class_count, loc=node.loc) for node in graph.nodes
-        ),
-        edges=tuple(
-            EdgeEntry(edge.source, edge.target, edge.weight, edge.kind) for edge in graph.edges
-        ),
-    )
-
-
-def emit_project_descriptor(descriptor: ProjectDescriptor) -> str:
-    """Serialize a descriptor back to the canonical JSON format."""
-    document: dict = {"name": descriptor.name, "services": [], "edges": []}
-    for service in descriptor.services:
-        raw: dict = {"id": service.id}
-        if service.classes is not None:
-            raw["classes"] = service.classes
-        if service.loc is not None:
-            raw["loc"] = service.loc
-        if service.source_dir is not None:
-            raw["source_dir"] = service.source_dir
-        document["services"].append(raw)
-    for edge in descriptor.edges:
-        raw = {"source": edge.source, "target": edge.target}
-        if edge.weight != 1:
-            raw["weight"] = edge.weight
-        if edge.kind is not EdgeKind.CALL:
-            raw["kind"] = edge.kind.value
-        document["edges"].append(raw)
-    return json.dumps(document, indent=2) + "\n"
+    nodes = descriptor.services
+    if base_dir is not None:
+        nodes = tuple(
+            replace(node, class_count=count_source_units(Path(base_dir) / descriptor.source_dirs[node.id]))
+            if node.class_count is None and node.id in descriptor.source_dirs
+            else node
+            for node in nodes
+        )
+    return ServiceGraph.build(nodes, descriptor.edges)
 
 
 def load_project(path: Path, fmt: str = "auto") -> tuple[ServiceGraph, ProjectDescriptor]:
     """Load one project from a descriptor, edge CSV or compose file.
 
     ``fmt`` is one of ``auto | descriptor | edges | compose``; in auto
-    mode the format is inferred from the file extension.  Edge-CSV
-    services are auto-declared from the endpoints (without class
-    counts) and the project takes the file stem as its name.
+    mode the format is inferred from the file extension.  The file must
+    be UTF-8, optionally with a byte order mark.  Edge-CSV services are
+    auto-declared from the endpoints (without class counts); edge-CSV
+    and compose projects take the file stem as their name.
     """
     path = Path(path)
     if fmt not in FORMATS:
@@ -359,25 +288,25 @@ def load_project(path: Path, fmt: str = "auto") -> tuple[ServiceGraph, ProjectDe
             fmt = "compose"
         else:
             raise ValidationError(f"cannot infer input format from {path.name!r}; pass one explicitly")
-    text = path.read_text(encoding="utf-8")
-    if fmt == "descriptor":
-        descriptor = parse_project_descriptor(text)
-        return build_graph(descriptor, base_dir=path.parent), descriptor
-    if fmt == "edges":
-        entries = parse_edge_csv(text)
-        endpoints = sorted({end for entry in entries for end in (entry.source, entry.target)})
-        descriptor = ProjectDescriptor(
-            name=path.stem,
-            services=tuple(ServiceEntry(service) for service in endpoints),
-            edges=entries,
-        )
-        return build_graph(descriptor), descriptor
-    descriptor = parse_compose(text, name=path.stem)
-    return build_graph(descriptor), descriptor
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+        if fmt == "descriptor":
+            descriptor = parse_project_descriptor(text)
+        elif fmt == "edges":
+            edges = parse_edge_csv(text)
+            endpoints = sorted({end for edge in edges for end in (edge.source, edge.target)})
+            descriptor = ProjectDescriptor(path.stem, tuple(ServiceNode(service) for service in endpoints), edges)
+        else:
+            descriptor = parse_compose(text, name=path.stem)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except RecursionError:
+        raise ParseError("input is nested too deeply") from None
+    return build_graph(descriptor, base_dir=path.parent), descriptor
 
 
-def load_corpus(root: Path) -> CorpusIndex:
-    """Discover one project per immediate subdirectory holding a descriptor.
+def load_corpus(root: Path) -> tuple[Path, ...]:
+    """Sorted descriptor paths, one per immediate subdirectory holding one.
 
     Subdirectories without a ``project.json`` are skipped with a
     warning; an empty corpus is a valid result.
@@ -394,4 +323,4 @@ def load_corpus(root: Path) -> CorpusIndex:
             projects.append(descriptor_path)
         else:
             logger.warning("corpus: skipping %s (no %s)", entry.name, DESCRIPTOR_FILENAME)
-    return CorpusIndex(root=root, projects=tuple(projects))
+    return tuple(projects)

@@ -179,7 +179,9 @@ def acs(graph: ServiceGraph, service: ServiceId) -> int:
 def siy(graph: ServiceGraph) -> int:
     """Number of unordered pairs that depend on each other in both directions."""
     return sum(
-        1 for s1, s2 in graph.connected_pairs() if s1 < s2 and graph.is_bidirectional(s1, s2)
+        1
+        for s1, s2 in graph.connected_pairs()
+        if s1 < s2 and graph.pair_outdegree(s1, s2) >= 1 and graph.pair_outdegree(s2, s1) >= 1
     )
 
 

@@ -36,7 +36,6 @@ class RenderOptions:
 
     hub_fraction: float = 0.6
     hub_min_degree: int = 3
-    base_node_size: float = 1.0
     decimal_places: int = 2
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class RenderOptions:
             raise ValidationError(f"hub_fraction must be in (0, 1], got {self.hub_fraction!r}")
         if not isinstance(self.hub_min_degree, int) or self.hub_min_degree < 0:
             raise ValidationError(f"hub_min_degree must be a non-negative integer, got {self.hub_min_degree!r}")
-        if not self.base_node_size > 0:
-            raise ValidationError(f"base_node_size must be positive, got {self.base_node_size!r}")
         if not isinstance(self.decimal_places, int) or self.decimal_places < 0:
             raise ValidationError(f"decimal_places must be a non-negative integer, got {self.decimal_places!r}")
 
@@ -69,16 +66,21 @@ def classify(graph: ServiceGraph, service: ServiceId, options: RenderOptions = R
     return ColorClass.REGULAR
 
 
-def node_size(graph: ServiceGraph, service: ServiceId, options: RenderOptions = RenderOptions()) -> float:
+def node_size(graph: ServiceGraph, service: ServiceId) -> float:
     """Node size scaling linearly from 1x (isolated) to 3x (max degree)."""
     degree = graph.node_degree(service)
     max_degree = graph.max_node_degree()
     ratio = degree / max_degree if max_degree else 0.0
-    return options.base_node_size * (1 + 2 * ratio)
+    return 1 + 2 * ratio
 
 
 def _fmt(value: float, decimal_places: int) -> str:
     return f"{value:.{decimal_places}f}"
+
+
+def _dot_id(service: ServiceId) -> str:
+    """A DOT quoted string; ids cannot hold ``"``, so only ``\\`` needs escaping."""
+    return '"' + service.replace("\\", "\\\\") + '"'
 
 
 def emit_pair_matrix_csv(
@@ -167,15 +169,15 @@ def emit_dot(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> s
     lines = ["digraph coupling {", "    node [style=filled];"]
     for service in graph.service_ids:
         color = classify(graph, service, options).value
-        size = _fmt(node_size(graph, service, options), 2)
-        lines.append(f'    "{service}" [fillcolor={color}, width={size}, height={size}];')
+        size = _fmt(node_size(graph, service), 2)
+        lines.append(f"    {_dot_id(service)} [fillcolor={color}, width={size}, height={size}];")
     for s1, s2 in graph.connected_pairs():
         if graph.pair_outdegree(s1, s2) < 1:
             continue
         sc = metrics.structural_coupling(graph, s1, s2)
         label = _fmt(sc, options.decimal_places)
         penwidth = _fmt(1 + 3 * sc, 2)
-        lines.append(f'    "{s1}" -> "{s2}" [label="{label}", penwidth={penwidth}];')
+        lines.append(f'    {_dot_id(s1)} -> {_dot_id(s2)} [label="{label}", penwidth={penwidth}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -213,7 +215,7 @@ def emit_svg(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> s
     services = graph.service_ids
     position = dict(zip(services, _svg_positions(len(services))))
     radius = {
-        service: _SVG_NODE_RADIUS * node_size(graph, service, options) for service in services
+        service: _SVG_NODE_RADIUS * node_size(graph, service) for service in services
     }
 
     lines = [
@@ -254,12 +256,13 @@ def emit_svg(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> s
     for service in services:
         x, y = position[service]
         color = classify(graph, service, options).value
+        text = service.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines.append(
             f'  <circle cx="{x:.1f}" cy="{y:.1f}" r="{radius[service]:.1f}" '
             f'fill="{color}" stroke="#333333"/>'
         )
         lines.append(
-            f'  <text x="{x:.1f}" y="{y:.1f}" dy="0.35em" text-anchor="middle" font-size="12">{service}</text>'
+            f'  <text x="{x:.1f}" y="{y:.1f}" dy="0.35em" text-anchor="middle" font-size="12">{text}</text>'
         )
 
     lines.append("</svg>")

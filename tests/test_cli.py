@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,43 @@ class TestAnalyze:
         assert main(["analyze", str(source), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["source,target,weight\nA,B,1\nB,C,0\n", "source,target\nA,B\nC,C\n"],
+        ids=["zero-weight", "self-dependency"],
+    )
+    def test_bad_edge_record_names_its_line(self, tmp_path, text, capsys):
+        source = tmp_path / "deps.csv"
+        source.write_text(text)
+        assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 1
+        assert "line 3" in capsys.readouterr().err
+
+    def test_bom_edge_csv_analyzes(self, tmp_path, capsys):
+        source = tmp_path / "deps.csv"
+        source.write_bytes(b"\xef\xbb\xbfsource,target\nweb,db\n")
+        assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("deps: services=2 edges=1")
+
+    @pytest.mark.parametrize(
+        "filename, data",
+        [("deps.csv", b"source,target\nweb,d\xffb\n"), ("project.json", b"[" * 100000)],
+        ids=["non-utf8", "deep-json"],
+    )
+    def test_undecodable_or_deep_input_exits_1(self, tmp_path, filename, data, capsys):
+        source = tmp_path / filename
+        source.write_bytes(data)
+        assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_rerun_removes_outputs_it_did_not_write(self, tmp_path):
+        source = write_descriptor(tmp_path, SINGLE_EDGE_DESCRIPTOR)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert main(["analyze", str(source), "--out", str(out), "--emit", "csv,dot,svg"]) == 0
+        assert main(["analyze", str(source), "--out", str(out), "--emit", "dot"]) == 0
+        assert {path.name for path in out.iterdir()} == {"graph.dot", "notes.txt"}
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
@@ -275,3 +316,16 @@ class TestArgumentHandling:
             run()
         assert excinfo.value.code == 0
         capsys.readouterr()
+
+    def test_python_m_runs_cli(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "out"
+        completed = subprocess.run(
+            [sys.executable, "-m", "mscoupling", "example", "--out", str(out)],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert (out / "graph.dot").is_file()

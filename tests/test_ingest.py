@@ -8,16 +8,11 @@ import logging
 import pytest
 
 from mscoupling.errors import ParseError, ValidationError
-from mscoupling.graph import EdgeKind
+from mscoupling.graph import DependencyEdge, EdgeKind, ServiceNode
 from mscoupling.ingest import (
-    CorpusIndex,
-    EdgeEntry,
     ProjectDescriptor,
-    ServiceEntry,
     build_graph,
     count_source_units,
-    descriptor_from_graph,
-    emit_project_descriptor,
     load_corpus,
     load_project,
     parse_compose,
@@ -39,10 +34,10 @@ class TestDescriptorParsing:
         descriptor = parse_project_descriptor(MINIMAL_DESCRIPTOR)
         assert descriptor.name == "shop"
         assert descriptor.services == (
-            ServiceEntry("web", classes=12),
-            ServiceEntry("db"),
+            ServiceNode("web", class_count=12),
+            ServiceNode("db"),
         )
-        assert descriptor.edges == (EdgeEntry("web", "db", 2, EdgeKind.CALL),)
+        assert descriptor.edges == (DependencyEdge("web", "db", 2, EdgeKind.CALL),)
 
     def test_edge_defaults(self):
         descriptor = parse_project_descriptor(
@@ -95,6 +90,14 @@ class TestDescriptorParsing:
                 f' "edges": [{{"source": "a", "target": "b", "weight": {weight}}}]}}'
             )
 
+    def test_record_errors_name_their_position(self):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_project_descriptor(
+                '{"name": "x", "services": [{"id": "a"}, {"id": "b"}],'
+                ' "edges": [{"source": "a", "target": "b"}, {"source": "b", "target": "b"}]}'
+            )
+        assert "edge #1" in str(excinfo.value)
+
     def test_bad_classes(self):
         with pytest.raises(ValidationError):
             parse_project_descriptor('{"name": "x", "services": [{"id": "a", "classes": -1}]}')
@@ -123,7 +126,7 @@ class TestDescriptorParsing:
 class TestEdgeCsvParsing:
     def test_minimal(self):
         entries = parse_edge_csv("source,target\nA,B\n")
-        assert entries == (EdgeEntry("A", "B", 1, EdgeKind.CALL),)
+        assert entries == (DependencyEdge("A", "B", 1, EdgeKind.CALL),)
 
     def test_weight_column(self):
         entries = parse_edge_csv("source,target,weight\nA,B,3\n")
@@ -139,7 +142,7 @@ class TestEdgeCsvParsing:
         assert entries[0].kind is EdgeKind.CALL
 
     def test_header_case_insensitive(self):
-        assert parse_edge_csv("Source,Target\nA,B\n") == (EdgeEntry("A", "B"),)
+        assert parse_edge_csv("Source,Target\nA,B\n") == (DependencyEdge("A", "B"),)
 
     def test_blank_lines_skipped(self):
         entries = parse_edge_csv("source,target\n\nA,B\n\n\nB,C\n")
@@ -178,7 +181,7 @@ class TestComposeParsing:
             "services:\n  web:\n    depends_on: [db]\n  db: {}\n"
         )
         assert {s.id for s in descriptor.services} == {"web", "db"}
-        assert descriptor.edges == (EdgeEntry("web", "db", 1, EdgeKind.COMPOSE),)
+        assert descriptor.edges == (DependencyEdge("web", "db", 1, EdgeKind.COMPOSE),)
 
     def test_depends_on_mapping_form(self):
         descriptor = parse_compose(
@@ -189,13 +192,13 @@ class TestComposeParsing:
             "        condition: service_started\n"
             "  db: {}\n"
         )
-        assert descriptor.edges == (EdgeEntry("web", "db", 1, EdgeKind.COMPOSE),)
+        assert descriptor.edges == (DependencyEdge("web", "db", 1, EdgeKind.COMPOSE),)
 
     def test_links_alias_stripped(self):
         descriptor = parse_compose(
             "services:\n  web:\n    links:\n      - db:database\n  db: {}\n"
         )
-        assert descriptor.edges == (EdgeEntry("web", "db", 1, EdgeKind.COMPOSE),)
+        assert descriptor.edges == (DependencyEdge("web", "db", 1, EdgeKind.COMPOSE),)
 
     def test_depends_on_and_links_merge_weight(self):
         descriptor = parse_compose(
@@ -205,7 +208,7 @@ class TestComposeParsing:
             "    links: [db]\n"
             "  db: {}\n"
         )
-        assert descriptor.edges == (EdgeEntry("web", "db", 2, EdgeKind.COMPOSE),)
+        assert descriptor.edges == (DependencyEdge("web", "db", 2, EdgeKind.COMPOSE),)
 
     def test_bare_service_entry(self):
         descriptor = parse_compose("services:\n  web:\n  db:\n")
@@ -222,6 +225,11 @@ class TestComposeParsing:
         with pytest.raises(ValidationError) as excinfo:
             parse_compose("services:\n  web:\n    depends_on: [ghost]\n")
         assert "ghost" in str(excinfo.value)
+
+    def test_bad_service_id_names_its_position(self):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_compose('services:\n  web:\n  "a,b":\n')
+        assert "service #1" in str(excinfo.value)
 
     def test_invalid_yaml_reports_line(self):
         with pytest.raises(ParseError) as excinfo:
@@ -283,7 +291,8 @@ class TestGraphBuilding:
         (source / "Two.java").write_text("class Two {}")
         descriptor = ProjectDescriptor(
             name="x",
-            services=(ServiceEntry("web", source_dir="web-src"), ServiceEntry("db")),
+            services=(ServiceNode("web"), ServiceNode("db")),
+            source_dirs={"web": "web-src"},
         )
         graph = build_graph(descriptor, base_dir=tmp_path)
         assert graph.node("web").class_count == 2
@@ -291,36 +300,17 @@ class TestGraphBuilding:
     def test_explicit_classes_win_over_source_dir(self, tmp_path):
         descriptor = ProjectDescriptor(
             name="x",
-            services=(ServiceEntry("web", classes=9, source_dir="nowhere"),),
+            services=(ServiceNode("web", class_count=9),),
+            source_dirs={"web": "nowhere"},
         )
         graph = build_graph(descriptor, base_dir=tmp_path)
         assert graph.node("web").class_count == 9
 
     def test_source_dir_ignored_without_base_dir(self):
         descriptor = ProjectDescriptor(
-            name="x", services=(ServiceEntry("web", source_dir="src"),)
+            name="x", services=(ServiceNode("web"),), source_dirs={"web": "src"}
         )
         assert build_graph(descriptor).node("web").class_count is None
-
-
-class TestDescriptorRoundTrip:
-    def test_emit_then_parse_is_identity(self):
-        descriptor = parse_project_descriptor(MINIMAL_DESCRIPTOR)
-        assert parse_project_descriptor(emit_project_descriptor(descriptor)) == descriptor
-
-    def test_graph_round_trip(self, demo):
-        descriptor = descriptor_from_graph(demo, "demo")
-        assert build_graph(descriptor) == demo
-
-    def test_emit_omits_defaults(self):
-        descriptor = ProjectDescriptor(
-            name="x",
-            services=(ServiceEntry("a"), ServiceEntry("b")),
-            edges=(EdgeEntry("a", "b"),),
-        )
-        document = json.loads(emit_project_descriptor(descriptor))
-        assert document["edges"] == [{"source": "a", "target": "b"}]
-        assert document["services"] == [{"id": "a"}, {"id": "b"}]
 
 
 class TestLoadProject:
@@ -391,22 +381,20 @@ class TestLoadCorpus:
             project = tmp_path / name
             project.mkdir()
             (project / "project.json").write_text('{"name": "%s"}' % name)
-        index = load_corpus(tmp_path)
-        assert isinstance(index, CorpusIndex)
-        assert [p.parent.name for p in index.projects] == ["alpha", "beta"]
+        assert [p.parent.name for p in load_corpus(tmp_path)] == ["alpha", "beta"]
 
     def test_skips_directories_without_descriptor(self, tmp_path, caplog):
         (tmp_path / "good").mkdir()
         (tmp_path / "good" / "project.json").write_text('{"name": "good"}')
         (tmp_path / "junk").mkdir()
         with caplog.at_level(logging.WARNING, logger="mscoupling.ingest"):
-            index = load_corpus(tmp_path)
-        assert [p.parent.name for p in index.projects] == ["good"]
+            projects = load_corpus(tmp_path)
+        assert [p.parent.name for p in projects] == ["good"]
         assert "junk" in caplog.text
 
     def test_ignores_plain_files_in_root(self, tmp_path):
         (tmp_path / "README.md").write_text("hello")
-        assert load_corpus(tmp_path).projects == ()
+        assert load_corpus(tmp_path) == ()
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -324,8 +324,10 @@ class TestMetricProperties:
     def test_adding_unrelated_edge_keeps_lwf(self, graph):
         pairs = graph.connected_pairs()
         assume(pairs)
-        grown = graph.add_service(ServiceNode("zz1")).add_service(ServiceNode("zz2"))
-        grown = grown.add_dependency(DependencyEdge("zz1", "zz2"))
+        grown = ServiceGraph.build(
+            graph.nodes + (ServiceNode("zz1"), ServiceNode("zz2")),
+            graph.edges + (DependencyEdge("zz1", "zz2"),),
+        )
         for s1, s2 in pairs:
             assert lwf(grown, s1, s2) == pytest.approx(lwf(graph, s1, s2), **APPROX)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given
@@ -45,7 +46,7 @@ class TestRenderOptions:
             {"hub_fraction": 0.0},
             {"hub_fraction": 1.5},
             {"hub_min_degree": -1},
-            {"base_node_size": 0.0},
+            {"hub_min_degree": 2.5},
             {"decimal_places": -1},
         ],
     )
@@ -95,10 +96,6 @@ class TestNodeSize:
     def test_edgeless_graph(self):
         graph = ServiceGraph.build([ServiceNode("A")])
         assert node_size(graph, "A") == pytest.approx(1.0)
-
-    def test_base_size_multiplies(self, demo):
-        options = RenderOptions(base_node_size=2.0)
-        assert node_size(demo, "A", options) == pytest.approx(6.0)
 
 
 class TestPairMatrixCsv:
@@ -234,6 +231,12 @@ class TestDot:
     def test_empty_graph(self):
         assert emit_dot(ServiceGraph.build([])) == "digraph coupling {\n    node [style=filled];\n}\n"
 
+    def test_backslash_in_id_escaped(self):
+        graph = ServiceGraph.build([ServiceNode("x\\"), ServiceNode("y")], [DependencyEdge("x\\", "y")])
+        lines = emit_dot(graph).splitlines()
+        assert lines[2].startswith('    "x\\\\" [fillcolor=')
+        assert lines[4].startswith('    "x\\\\" -> "y" [')
+
     def test_deterministic(self, demo):
         assert emit_dot(demo) == emit_dot(demo)
 
@@ -271,6 +274,12 @@ class TestSvg:
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraph):
             emit_svg(ServiceGraph.build([]))
+
+    def test_markup_in_id_is_escaped(self):
+        graph = ServiceGraph.build([ServiceNode("a&b<c"), ServiceNode("d>")], [DependencyEdge("a&b<c", "d>")])
+        document = minidom.parseString(emit_svg(graph))
+        labels = [text.firstChild.data for text in document.getElementsByTagName("text")]
+        assert "a&b<c" in labels and "d>" in labels
 
     def test_deterministic(self, demo):
         assert emit_svg(demo) == emit_svg(demo)
