@@ -153,9 +153,14 @@ def _write_outputs(graph: ServiceGraph, config: CliConfig, summary: ProjectSumma
     if "svg" in config.emit:
         files["graph.svg"] = report.emit_svg(graph, config.options)
     _write_files(config.out_dir, files)
+    _remove_outputs(config.out_dir, keep=tuple(files))
+
+
+def _remove_outputs(out_dir: Path, keep: tuple[str, ...] = ()) -> None:
+    """Remove every analysis output file in ``out_dir`` not named in ``keep``."""
     for filename in OUTPUT_NAMES:
-        if filename not in files:
-            (config.out_dir / filename).unlink(missing_ok=True)
+        if filename not in keep:
+            (out_dir / filename).unlink(missing_ok=True)
 
 
 def _analyze_graph(graph: ServiceGraph, name: str, config: CliConfig) -> tuple[ProjectSummary, str]:
@@ -207,11 +212,11 @@ def cmd_corpus(config: CliConfig) -> int:
     lines: list[str] = []
     seen_names: set[str] = set()
     for dir_name, name, summary, line, error in results:
+        if error is None and name in seen_names:
+            error = f"duplicate project name {name!r}"
         if error is not None:
             failures.append((dir_name, error))
-            continue
-        if name in seen_names:
-            failures.append((dir_name, f"duplicate project name {name!r}"))
+            _remove_outputs(config.out_dir / dir_name)
             continue
         seen_names.add(name)
         summaries.append(summary)
@@ -219,14 +224,10 @@ def cmd_corpus(config: CliConfig) -> int:
 
     summaries.sort(key=lambda s: s.project_name)
     _write_files(config.out_dir, {CORPUS_SUMMARY: report.emit_summary_csv(summaries, config.options)})
-    errors_path = config.out_dir / CORPUS_ERRORS
     if failures:
-        _write_files(
-            config.out_dir,
-            {CORPUS_ERRORS: "".join(f"{dir_name}: {message}\n" for dir_name, message in failures)},
-        )
+        _write_files(config.out_dir, {CORPUS_ERRORS: "".join(f"{dir_name}: {error}\n" for dir_name, error in failures)})
     else:
-        errors_path.unlink(missing_ok=True)
+        (config.out_dir / CORPUS_ERRORS).unlink(missing_ok=True)
 
     for line in sorted(lines):
         print(line)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import (
     DuplicateService,
@@ -151,35 +152,26 @@ class ServiceGraph:
     def _by_id(self) -> dict[str, ServiceNode]:
         return {node.id: node for node in self.nodes}
 
-    @cached_property
-    def _directed_weight(self) -> dict[tuple[str, str], int]:
-        """Total weight per ordered (source, target) pair, kinds merged."""
-        weights: dict[tuple[str, str], int] = {}
+    def _weight_map(self, forward: bool) -> dict[str, dict[str, int]]:
+        table: dict[str, dict[str, int]] = {node.id: {} for node in self.nodes}
         for edge in self.edges:
-            key = (edge.source, edge.target)
-            weights[key] = weights.get(key, 0) + edge.weight
-        return weights
+            a, b = (edge.source, edge.target) if forward else (edge.target, edge.source)
+            table[a][b] = table[a].get(b, 0) + edge.weight
+        return table
 
     @cached_property
-    def _out_weight(self) -> dict[str, int]:
-        totals = dict.fromkeys(self._by_id, 0)
-        for (source, _), weight in self._directed_weight.items():
-            totals[source] += weight
-        return totals
+    def _out(self) -> dict[str, dict[str, int]]:
+        """Per service: total weight to each of its providers, kinds merged."""
+        return self._weight_map(forward=True)
 
     @cached_property
-    def _in_weight(self) -> dict[str, int]:
-        totals = dict.fromkeys(self._by_id, 0)
-        for (_, target), weight in self._directed_weight.items():
-            totals[target] += weight
-        return totals
+    def _in(self) -> dict[str, dict[str, int]]:
+        """Per service: total weight from each of its clients, kinds merged."""
+        return self._weight_map(forward=False)
 
     @property
     def service_ids(self) -> tuple[ServiceId, ...]:
         return tuple(node.id for node in self.nodes)
-
-    def has_service(self, service: ServiceId) -> bool:
-        return service in self._by_id
 
     def node(self, service: ServiceId) -> ServiceNode:
         self._require(service)
@@ -192,37 +184,52 @@ class ServiceGraph:
 
     # -- degrees ----------------------------------------------------------
 
+    def providers(self, service: ServiceId) -> Mapping[ServiceId, int]:
+        """Read-only map from each service ``service`` depends on to the total weight."""
+        self._require(service)
+        return MappingProxyType(self._out[service])
+
+    def clients(self, service: ServiceId) -> Mapping[ServiceId, int]:
+        """Read-only map from each service depending on ``service`` to the total weight."""
+        self._require(service)
+        return MappingProxyType(self._in[service])
+
     def pair_outdegree(self, s1: ServiceId, s2: ServiceId) -> int:
         """Total weight of dependencies directed from ``s1`` to ``s2``."""
         self._require(s1, s2)
         if s1 == s2:
             raise ValueError("pair degrees need two distinct services")
-        return self._directed_weight.get((s1, s2), 0)
+        return self._out[s1].get(s2, 0)
 
     def pair_degree(self, s1: ServiceId, s2: ServiceId) -> int:
         """Total dependency weight between the two services, either direction."""
         return self.pair_outdegree(s1, s2) + self.pair_outdegree(s2, s1)
 
     def node_outdegree(self, service: ServiceId) -> int:
-        self._require(service)
-        return self._out_weight[service]
+        return sum(self.providers(service).values())
 
     def node_indegree(self, service: ServiceId) -> int:
-        self._require(service)
-        return self._in_weight[service]
+        return sum(self.clients(service).values())
 
     def node_degree(self, service: ServiceId) -> int:
         """Total dependency weight incident to the service, both directions."""
-        self._require(service)
-        return self._out_weight[service] + self._in_weight[service]
+        return self.node_outdegree(service) + self.node_indegree(service)
 
     def max_node_degree(self) -> int:
         """Largest node degree in the graph; 0 when there are no edges."""
         if not self.nodes:
             raise EmptyGraph("max degree of an empty graph is undefined")
-        return max(self.node_degree(node.id) for node in self.nodes)
+        return self._max_degree
+
+    @cached_property
+    def _max_degree(self) -> int:
+        return max(self.node_degree(service) for service in self._out)
 
     # -- structure --------------------------------------------------------
+
+    def _neighbors(self, service: ServiceId) -> list[ServiceId]:
+        """Services with a dependency to or from ``service``, sorted."""
+        return sorted(self._out[service].keys() | self._in[service].keys())
 
     def connected_pairs(self) -> tuple[tuple[ServiceId, ServiceId], ...]:
         """All ordered pairs with at least one dependency, both orientations.
@@ -230,38 +237,26 @@ class ServiceGraph:
         Sorted lexicographically by (first, second) for deterministic
         downstream reports.
         """
-        pairs: set[tuple[str, str]] = set()
-        for source, target in self._directed_weight:
-            pairs.add((source, target))
-            pairs.add((target, source))
-        return tuple(sorted(pairs))
-
-    @cached_property
-    def _undirected_adjacency(self) -> dict[str, tuple[str, ...]]:
-        neighbors: dict[str, set[str]] = {node.id: set() for node in self.nodes}
-        for source, target in self._directed_weight:
-            neighbors[source].add(target)
-            neighbors[target].add(source)
-        return {service: tuple(sorted(adjacent)) for service, adjacent in neighbors.items()}
+        return tuple((s1, s2) for s1 in self._out for s2 in self._neighbors(s1))
 
     def articulation_services(self) -> frozenset[ServiceId]:
-        """Services whose removal disconnects the undirected projection.
+        """Services whose removal disconnects the undirected projection."""
+        return self._articulation
 
-        Standard articulation points via iterative depth-first search
-        with low-link values.
-        """
-        adjacency = self._undirected_adjacency
+    @cached_property
+    def _articulation(self) -> frozenset[ServiceId]:
+        # Standard articulation points via iterative depth-first search with low-link values.
         order: dict[str, int] = {}
         low: dict[str, int] = {}
         cut: set[str] = set()
         counter = 0
-        for root in adjacency:
+        for root in self._out:
             if root in order:
                 continue
             order[root] = low[root] = counter
             counter += 1
             root_children = 0
-            stack = [(root, None, iter(adjacency[root]))]
+            stack = [(root, None, iter(self._neighbors(root)))]
             while stack:
                 current, parent, neighbors = stack[-1]
                 pushed = False
@@ -273,7 +268,7 @@ class ServiceGraph:
                     else:
                         order[neighbor] = low[neighbor] = counter
                         counter += 1
-                        stack.append((neighbor, current, iter(adjacency[neighbor])))
+                        stack.append((neighbor, current, iter(self._neighbors(neighbor))))
                         pushed = True
                         break
                 if pushed:

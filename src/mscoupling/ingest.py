@@ -165,6 +165,13 @@ def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
     return tuple(edges)
 
 
+def _compose_entry(service: str, entry: object) -> str:
+    """A depends_on/links entry as a service name; nested entries are never printed."""
+    if isinstance(entry, (dict, list)):
+        raise ParseError(f"service {service!r}: depends_on and links entries must be service names")
+    return str(entry)
+
+
 def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
     """Extract a service topology from a docker-compose document.
 
@@ -203,19 +210,15 @@ def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
             config = {}
         if not isinstance(config, dict):
             raise ParseError(f"service {service!r} entry must be a mapping")
-        targets: list[str] = []
         depends_on = config.get("depends_on", [])
-        if isinstance(depends_on, dict):
-            targets.extend(str(dep) for dep in depends_on)
-        elif isinstance(depends_on, list):
-            targets.extend(str(dep) for dep in depends_on)
-        else:
+        if not isinstance(depends_on, (dict, list)):
             raise ParseError(f"service {service!r}: depends_on must be a list or mapping")
         links = config.get("links", [])
         if not isinstance(links, list):
             raise ParseError(f"service {service!r}: links must be a list")
+        targets = [_compose_entry(service, dep) for dep in depends_on]
         # links entries may carry an alias suffix: "db:database"
-        targets.extend(str(link).split(":", 1)[0] for link in links)
+        targets.extend(_compose_entry(service, link).split(":", 1)[0] for link in links)
         for target in targets:
             if target == service:
                 logger.warning("compose: dropping self-dependency of %r", service)

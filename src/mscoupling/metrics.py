@@ -91,34 +91,13 @@ class ProjectSummary:
     siy: int
 
 
-def _connected_degree(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> int:
-    degree = graph.pair_degree(s1, s2)
+def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetrics:
+    """All per-pair values of a connected ordered pair; `lwf`, `gwf` and `structural_coupling` read them."""
+    outdegree = graph.pair_outdegree(s1, s2)
+    indegree = graph.pair_outdegree(s2, s1)
+    degree = outdegree + indegree
     if degree == 0:
         raise UnconnectedPair(f"no dependencies between {s1!r} and {s2!r}")
-    return degree
-
-
-def lwf(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
-    """Local weight factor (1 + outdegree) / (1 + degree), in (0, 1]."""
-    degree = _connected_degree(graph, s1, s2)
-    return (1 + graph.pair_outdegree(s1, s2)) / (1 + degree)
-
-
-def gwf(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
-    """Global weight factor degree / max node degree, in (0, 1]."""
-    degree = _connected_degree(graph, s1, s2)
-    return degree / graph.max_node_degree()
-
-
-def structural_coupling(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
-    """Structural coupling of the ordered pair, in [0, 1)."""
-    degree = _connected_degree(graph, s1, s2)
-    return 1.0 - (1.0 / degree) * lwf(graph, s1, s2) * gwf(graph, s1, s2)
-
-
-def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetrics:
-    degree = _connected_degree(graph, s1, s2)
-    outdegree = graph.pair_outdegree(s1, s2)
     local = (1 + outdegree) / (1 + degree)
     global_ = degree / graph.max_node_degree()
     return PairMetrics(
@@ -126,11 +105,26 @@ def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetri
         s2=s2,
         degree=degree,
         outdegree=outdegree,
-        indegree=degree - outdegree,
+        indegree=indegree,
         lwf=local,
         gwf=global_,
         sc=1.0 - (1.0 / degree) * local * global_,
     )
+
+
+def lwf(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
+    """Local weight factor (1 + outdegree) / (1 + degree), in (0, 1]."""
+    return pair_metrics(graph, s1, s2).lwf
+
+
+def gwf(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
+    """Global weight factor degree / max node degree, in (0, 1]."""
+    return pair_metrics(graph, s1, s2).gwf
+
+
+def structural_coupling(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
+    """Structural coupling of the ordered pair, in [0, 1)."""
+    return pair_metrics(graph, s1, s2).sc
 
 
 def pair_matrix(graph: ServiceGraph) -> tuple[PairMetrics, ...]:
@@ -153,22 +147,12 @@ def cbm(graph: ServiceGraph, service: ServiceId) -> float | None:
 
 def ais(graph: ServiceGraph, service: ServiceId) -> int:
     """Number of distinct services with at least one dependency on this one."""
-    graph.node(service)
-    return sum(
-        1
-        for other in graph.service_ids
-        if other != service and graph.pair_outdegree(other, service) >= 1
-    )
+    return len(graph.clients(service))
 
 
 def ads(graph: ServiceGraph, service: ServiceId) -> int:
     """Number of distinct services this one has at least one dependency on."""
-    graph.node(service)
-    return sum(
-        1
-        for other in graph.service_ids
-        if other != service and graph.pair_outdegree(service, other) >= 1
-    )
+    return len(graph.providers(service))
 
 
 def acs(graph: ServiceGraph, service: ServiceId) -> int:
@@ -178,27 +162,22 @@ def acs(graph: ServiceGraph, service: ServiceId) -> int:
 
 def siy(graph: ServiceGraph) -> int:
     """Number of unordered pairs that depend on each other in both directions."""
-    return sum(
-        1
-        for s1, s2 in graph.connected_pairs()
-        if s1 < s2 and graph.pair_outdegree(s1, s2) >= 1 and graph.pair_outdegree(s2, s1) >= 1
-    )
+    providers = graph.providers
+    return sum(1 for s1 in graph.service_ids for s2 in providers(s1) if s1 < s2 and s1 in providers(s2))
 
 
 def service_metrics(graph: ServiceGraph, service: ServiceId) -> ServiceMetrics:
-    node = graph.node(service)
-    number_of_clients = ais(graph, service)
-    number_of_providers = ads(graph, service)
+    clients, providers = ais(graph, service), ads(graph, service)
     return ServiceMetrics(
         id=service,
         indegree=graph.node_indegree(service),
         outdegree=graph.node_outdegree(service),
         degree=graph.node_degree(service),
-        class_count=node.class_count,
+        class_count=graph.node(service).class_count,
         cbm=cbm(graph, service),
-        ais=number_of_clients,
-        ads=number_of_providers,
-        acs=number_of_clients * number_of_providers,
+        ais=clients,
+        ads=providers,
+        acs=clients * providers,
     )
 
 

@@ -56,8 +56,7 @@ def classify(graph: ServiceGraph, service: ServiceId, options: RenderOptions = R
     than incoming weight), else regular.
     """
     degree = graph.node_degree(service)
-    max_degree = graph.max_node_degree()
-    if degree >= options.hub_fraction * max_degree and degree >= options.hub_min_degree:
+    if degree >= options.hub_fraction * graph.max_node_degree() and degree >= options.hub_min_degree:
         return ColorClass.HUB
     if service in graph.articulation_services():
         return ColorClass.BRIDGE
@@ -68,10 +67,8 @@ def classify(graph: ServiceGraph, service: ServiceId, options: RenderOptions = R
 
 def node_size(graph: ServiceGraph, service: ServiceId) -> float:
     """Node size scaling linearly from 1x (isolated) to 3x (max degree)."""
-    degree = graph.node_degree(service)
     max_degree = graph.max_node_degree()
-    ratio = degree / max_degree if max_degree else 0.0
-    return 1 + 2 * ratio
+    return 1 + 2 * (graph.node_degree(service) / max_degree if max_degree else 0.0)
 
 
 def _fmt(value: float, decimal_places: int) -> str:
@@ -159,6 +156,11 @@ def emit_summary_csv(
     return "\n".join(lines) + "\n"
 
 
+def _arrows(graph: ServiceGraph) -> tuple[metrics.PairMetrics, ...]:
+    """Pair metrics of every direction with at least one dependency."""
+    return tuple(pair for pair in metrics.pair_matrix(graph) if pair.outdegree >= 1)
+
+
 def emit_dot(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> str:
     """Colored directed graph in DOT syntax.
 
@@ -171,13 +173,10 @@ def emit_dot(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> s
         color = classify(graph, service, options).value
         size = _fmt(node_size(graph, service), 2)
         lines.append(f"    {_dot_id(service)} [fillcolor={color}, width={size}, height={size}];")
-    for s1, s2 in graph.connected_pairs():
-        if graph.pair_outdegree(s1, s2) < 1:
-            continue
-        sc = metrics.structural_coupling(graph, s1, s2)
-        label = _fmt(sc, options.decimal_places)
-        penwidth = _fmt(1 + 3 * sc, 2)
-        lines.append(f'    {_dot_id(s1)} -> {_dot_id(s2)} [label="{label}", penwidth={penwidth}];')
+    for arrow in _arrows(graph):
+        label = _fmt(arrow.sc, options.decimal_places)
+        penwidth = _fmt(1 + 3 * arrow.sc, 2)
+        lines.append(f'    {_dot_id(arrow.s1)} -> {_dot_id(arrow.s2)} [label="{label}", penwidth={penwidth}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -231,9 +230,8 @@ def emit_svg(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> s
         f'  <rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
     ]
 
-    for s1, s2 in graph.connected_pairs():
-        if graph.pair_outdegree(s1, s2) < 1:
-            continue
+    for arrow in _arrows(graph):
+        s1, s2 = arrow.s1, arrow.s2
         (x1, y1), (x2, y2) = position[s1], position[s2]
         length = math.hypot(x2 - x1, y2 - y1)
         if length == 0:
@@ -243,7 +241,7 @@ def emit_svg(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> s
         px, py = -uy * _SVG_EDGE_GAP, ux * _SVG_EDGE_GAP
         start = (x1 + ux * radius[s1] + px, y1 + uy * radius[s1] + py)
         end = (x2 - ux * (radius[s2] + 4) + px, y2 - uy * (radius[s2] + 4) + py)
-        label = _fmt(metrics.structural_coupling(graph, s1, s2), options.decimal_places)
+        label = _fmt(arrow.sc, options.decimal_places)
         mid = ((start[0] + end[0]) / 2 + px, (start[1] + end[1]) / 2 + py)
         lines.append(
             f'  <line x1="{start[0]:.1f}" y1="{start[1]:.1f}" x2="{end[0]:.1f}" y2="{end[1]:.1f}" '

@@ -45,6 +45,20 @@ def connected_pairs(edges):
     return sorted(pairs)
 
 
+def providers(edges, s):
+    """Total weight from ``s`` to each service it depends on."""
+    totals = {}
+    for a, b, w in edges:
+        if a == s:
+            totals[b] = totals.get(b, 0) + w
+    return totals
+
+
+def clients(edges, s):
+    """Total weight to ``s`` from each service depending on it."""
+    return providers([(b, a, w) for a, b, w in edges], s)
+
+
 def ais(edges, s):
     return len({a for a, b, _ in edges if b == s and a != s})
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mscoupling.cli import main, run
+from mscoupling.cli import OUTPUT_NAMES, main, run
 
 SINGLE_EDGE_DESCRIPTOR = {
     "name": "pair",
@@ -83,6 +83,25 @@ class TestAnalyze:
         out = tmp_path / "out"
         assert main(["analyze", str(source), "--out", str(out)]) == 0
         assert (out / "service_metrics.csv").exists()
+
+    def test_compose_list_entry_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "docker-compose.yml"
+        source.write_text("services:\n  web:\n    depends_on: [[db]]\n  db: {}\n")
+        assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "'web'" in err
+        assert "['db']" not in err
+
+    def test_compose_alias_entry_keeps_message_short(self, tmp_path, capsys):
+        # five levels of nine aliases: one entry expands to 9**5 names if printed
+        levels = ["  - &a0 [" + ", ".join(["db"] * 9) + "]"]
+        levels += [f"  - &a{i} [" + ", ".join([f"*a{i - 1}"] * 9) + "]" for i in range(1, 5)]
+        source = tmp_path / "docker-compose.yml"
+        source.write_text(
+            "x-anchors:\n" + "\n".join(levels) + "\nservices:\n  web:\n    depends_on: [*a4]\n  db: {}\n"
+        )
+        assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 1
+        assert len(capsys.readouterr().err) < 1024
 
     def test_format_override(self, tmp_path):
         source = tmp_path / "edges.txt"
@@ -255,6 +274,27 @@ class TestCorpus:
         assert main(["corpus", str(root), "--out", str(out)]) == 3
         assert "duplicate project name" in (out / "corpus_errors.txt").read_text()
         capsys.readouterr()
+
+    def test_duplicate_project_keeps_no_output(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        write_corpus_project(root, "one", SINGLE_EDGE_DESCRIPTOR | {"name": "same"})
+        write_corpus_project(root, "two", SINGLE_EDGE_DESCRIPTOR | {"name": "same"})
+        out = tmp_path / "out"
+        assert main(["corpus", str(root), "--out", str(out)]) == 3
+        capsys.readouterr()
+        assert (out / "one" / "summary.csv").exists()
+        assert not any((out / "two" / name).exists() for name in OUTPUT_NAMES)
+
+    def test_rerun_with_broken_descriptor_keeps_no_output(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        project = write_corpus_project(root, "p", SINGLE_EDGE_DESCRIPTOR)
+        out = tmp_path / "out"
+        assert main(["corpus", str(root), "--out", str(out)]) == 0
+        assert (out / "p" / "summary.csv").exists()
+        (project / "project.json").write_text("{nope")
+        assert main(["corpus", str(root), "--out", str(out)]) == 3
+        capsys.readouterr()
+        assert not any((out / "p" / name).exists() for name in OUTPUT_NAMES)
 
     def test_empty_corpus(self, tmp_path, capsys):
         root = tmp_path / "corpus"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx
 import pytest
 from hypothesis import given
 
@@ -205,9 +206,16 @@ class TestConnectivity:
 
 
 class TestLookups:
-    def test_has_service(self, single_edge):
-        assert single_edge.has_service("A")
-        assert not single_edge.has_service("Z")
+    def test_providers_and_clients(self, single_edge):
+        assert single_edge.providers("A") == {"B": 1}
+        assert single_edge.clients("A") == {}
+        assert single_edge.clients("B") == {"A": 1}
+        with pytest.raises(UnknownService):
+            single_edge.providers("Z")
+
+    def test_providers_are_read_only(self, single_edge):
+        with pytest.raises(TypeError):
+            single_edge.providers("A")["Z"] = 1
 
     def test_node_lookup(self, demo):
         assert demo.node("A").class_count == 50
@@ -254,3 +262,17 @@ class TestGraphProperties:
         raw = [(e.source, e.target, e.weight) for e in graph.edges]
         expected = oracles.articulation_points(graph.service_ids, raw)
         assert graph.articulation_services() == frozenset(expected)
+
+    @given(service_graphs())
+    def test_articulation_matches_networkx(self, graph):
+        projection = networkx.Graph()
+        projection.add_nodes_from(graph.service_ids)
+        projection.add_edges_from((e.source, e.target) for e in graph.edges)
+        assert graph.articulation_services() == frozenset(networkx.articulation_points(projection))
+
+    @given(service_graphs())
+    def test_neighbour_maps_match_raw_edges(self, graph):
+        raw = [(e.source, e.target, e.weight) for e in graph.edges]
+        for s in graph.service_ids:
+            assert graph.providers(s) == oracles.providers(raw, s)
+            assert graph.clients(s) == oracles.clients(raw, s)
