@@ -16,6 +16,7 @@ from .metrics import (
     ProjectSummary,
     ServiceMetrics,
     StatSummary,
+    analyze,
     pair_matrix,
     project_summary,
     structural_coupling,
@@ -42,6 +43,7 @@ __all__ = [
     "UnconnectedPair",
     "UnknownService",
     "ValidationError",
+    "analyze",
     "pair_matrix",
     "project_summary",
     "structural_coupling",

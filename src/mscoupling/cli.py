@@ -24,7 +24,7 @@ from . import metrics, report
 from .errors import CouplingError, ValidationError
 from .graph import ServiceGraph
 from .ingest import FORMATS, load_corpus, load_project
-from .metrics import ProjectSummary
+from .metrics import Analysis, ProjectSummary
 from .report import RenderOptions
 from .sample import SAMPLE_PROJECT_NAME, sample_graph
 
@@ -136,7 +136,7 @@ def _summary_line(graph: ServiceGraph, summary: ProjectSummary, options: RenderO
     )
 
 
-def _write_outputs(graph: ServiceGraph, config: CliConfig, summary: ProjectSummary | None = None) -> None:
+def _write_outputs(analysis: Analysis, config: CliConfig, summary: ProjectSummary | None = None) -> None:
     """Write the outputs named in ``config.emit`` to ``config.out_dir``; csv needs ``summary``.
 
     Every text is computed before anything is written, and outputs of an
@@ -144,14 +144,14 @@ def _write_outputs(graph: ServiceGraph, config: CliConfig, summary: ProjectSumma
     """
     files: dict[str, str] = {}
     if "csv" in config.emit:
-        files["service_metrics.csv"] = report.emit_service_metrics_csv(graph, config.options)
+        files["service_metrics.csv"] = report.emit_service_metrics_csv(analysis, config.options)
         for metric in report.PAIR_METRICS:
-            files[f"pair_{metric}.csv"] = report.emit_pair_matrix_csv(graph, metric, config.options)
+            files[f"pair_{metric}.csv"] = report.emit_pair_matrix_csv(analysis, metric, config.options)
         files["summary.csv"] = report.emit_summary_csv([summary], config.options)
     if "dot" in config.emit:
-        files["graph.dot"] = report.emit_dot(graph, config.options)
+        files["graph.dot"] = report.emit_dot(analysis, config.options)
     if "svg" in config.emit:
-        files["graph.svg"] = report.emit_svg(graph, config.options)
+        files["graph.svg"] = report.emit_svg(analysis, config.options)
     _write_files(config.out_dir, files)
     _remove_outputs(config.out_dir, keep=tuple(files))
 
@@ -165,8 +165,9 @@ def _remove_outputs(out_dir: Path, keep: tuple[str, ...] = ()) -> None:
 
 def _analyze_graph(graph: ServiceGraph, name: str, config: CliConfig) -> tuple[ProjectSummary, str]:
     """Write the full analysis; return the project summary and its summary line."""
-    summary = metrics.project_summary(graph, name)
-    _write_outputs(graph, config, summary)
+    analysis = metrics.analyze(graph)
+    summary = metrics.project_summary(analysis, name)
+    _write_outputs(analysis, config, summary)
     return summary, _summary_line(graph, summary, config.options)
 
 
@@ -186,7 +187,7 @@ def cmd_render(config: CliConfig) -> int:
     emit = tuple(target for target in config.emit if target in ("dot", "svg"))
     if not emit:
         raise ValidationError("render emits only dot/svg; pass --emit dot,svg")
-    _write_outputs(graph, replace(config, emit=emit))
+    _write_outputs(metrics.analyze(graph), replace(config, emit=emit))
     return EXIT_OK
 
 

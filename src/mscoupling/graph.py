@@ -26,16 +26,14 @@ from .errors import (
 
 ServiceId = str
 
-# Characters that would break CSV/DOT emission if they appeared in an id.
-_FORBIDDEN_ID_CHARS = ("\n", "\r", ",", "\t", '"')
 
-
-def _check_id(value: str) -> str:
+def _check_id(value: str, what: str = "service id") -> str:
+    """Ids and project names are printable text without ``,`` or ``"``: CSV, DOT and SVG carry them raw."""
     if not isinstance(value, str) or not value:
-        raise ValidationError(f"service id must be a non-empty string, got {value!r}")
-    for ch in _FORBIDDEN_ID_CHARS:
-        if ch in value:
-            raise ValidationError(f"service id {value!r} contains forbidden character {ch!r}")
+        raise ValidationError(f"{what} must be a non-empty string, got {value!r}")
+    if "," in value or '"' in value or not value.isprintable():
+        ch = next(ch for ch in value if ch in ',"' or not ch.isprintable())
+        raise ValidationError(f"{what} {value!r} contains forbidden character {ch!r}")
     return value
 
 
@@ -259,7 +257,6 @@ class ServiceGraph:
             stack = [(root, None, iter(self._neighbors(root)))]
             while stack:
                 current, parent, neighbors = stack[-1]
-                pushed = False
                 for neighbor in neighbors:
                     if neighbor == parent:
                         continue  # simple projection: exactly one edge back to the parent
@@ -269,18 +266,16 @@ class ServiceGraph:
                         order[neighbor] = low[neighbor] = counter
                         counter += 1
                         stack.append((neighbor, current, iter(self._neighbors(neighbor))))
-                        pushed = True
                         break
-                if pushed:
-                    continue
-                stack.pop()
-                if parent is None:
-                    continue
-                low[parent] = min(low[parent], low[current])
-                if parent == root:
-                    root_children += 1
-                elif low[current] >= order[parent]:
-                    cut.add(parent)
+                else:  # every neighbour seen: leave ``current``
+                    stack.pop()
+                    if parent is None:
+                        continue
+                    low[parent] = min(low[parent], low[current])
+                    if parent == root:
+                        root_children += 1
+                    elif low[current] >= order[parent]:
+                        cut.add(parent)
             if root_children >= 2:
                 cut.add(root)
         return frozenset(cut)

@@ -25,7 +25,7 @@ from pathlib import Path
 import yaml
 
 from .errors import CouplingError, ParseError, ValidationError
-from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode
+from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode, _check_id
 
 logger = logging.getLogger(__name__)
 
@@ -33,6 +33,7 @@ DESCRIPTOR_FILENAME = "project.json"
 DEFAULT_SOURCE_EXTENSIONS = (".java",)
 
 FORMATS = ("auto", "descriptor", "edges", "compose")
+_SUFFIX_FORMATS = {".json": "descriptor", ".csv": "edges", ".yml": "compose", ".yaml": "compose"}
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,9 @@ class ProjectDescriptor:
     edges: tuple[DependencyEdge, ...] = ()
     source_dirs: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        _check_id(self.name, "project name")
+
 
 def parse_project_descriptor(text: str) -> ProjectDescriptor:
     """Parse and validate the canonical JSON descriptor format.
@@ -61,6 +65,8 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except ValueError as exc:  # e.g. an integer longer than the int-to-str digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise ParseError("descriptor must be a JSON object")
 
@@ -69,9 +75,7 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
     if unknown:
         logger.warning("descriptor: ignoring unknown fields %s", ", ".join(unknown))
 
-    name = document.get("name")
-    if not isinstance(name, str) or not name:
-        raise ValidationError("descriptor needs a non-empty string 'name'")
+    name = _check_id(document.get("name"), "project name")
 
     services: list[ServiceNode] = []
     seen_ids: set[str] = set()
@@ -132,7 +136,7 @@ def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
     reader = csv.reader(io.StringIO(text))
     header: list[str] | None = None
     edges: list[DependencyEdge] = []
-    for row in reader:
+    for row in _csv_records(reader):
         if not row or all(not cell.strip() for cell in row):
             continue
         cells = [cell.strip() for cell in row]
@@ -163,6 +167,17 @@ def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
     if header is None:
         raise ParseError("missing header row")
     return tuple(edges)
+
+
+def _csv_records(reader):
+    """The rows of ``reader``; a malformed record is a ParseError at the line it starts on."""
+    start = 1
+    try:
+        for row in reader:
+            yield row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV record: {exc}", line=start) from None
 
 
 def _compose_entry(service: str, entry: object) -> str:
@@ -282,14 +297,8 @@ def load_project(path: Path, fmt: str = "auto") -> tuple[ServiceGraph, ProjectDe
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
     if fmt == "auto":
-        suffix = path.suffix.lower()
-        if suffix == ".json":
-            fmt = "descriptor"
-        elif suffix == ".csv":
-            fmt = "edges"
-        elif suffix in (".yml", ".yaml"):
-            fmt = "compose"
-        else:
+        fmt = _SUFFIX_FORMATS.get(path.suffix.lower())
+        if fmt is None:
             raise ValidationError(f"cannot infer input format from {path.name!r}; pass one explicitly")
     try:
         text = path.read_bytes().decode("utf-8-sig")

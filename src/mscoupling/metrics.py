@@ -15,7 +15,7 @@ value at all (not zero) and are excluded from every statistic.
 Alongside it the module computes the classic per-service coupling
 numbers: CBM (outgoing calls per class), AIS (distinct clients), ADS
 (distinct providers), ACS (= AIS * ADS) and the system-wide SIY count
-of mutually dependent pairs.
+of mutually dependent pairs.  :func:`analyze` builds the pair and service tables once.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class ProjectSummary:
 
 
 def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetrics:
-    """All per-pair values of a connected ordered pair; `lwf`, `gwf` and `structural_coupling` read them."""
+    """All per-pair values of a connected ordered pair; `structural_coupling` reads its SC."""
     outdegree = graph.pair_outdegree(s1, s2)
     indegree = graph.pair_outdegree(s2, s1)
     degree = outdegree + indegree
@@ -110,16 +110,6 @@ def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetri
         gwf=global_,
         sc=1.0 - (1.0 / degree) * local * global_,
     )
-
-
-def lwf(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
-    """Local weight factor (1 + outdegree) / (1 + degree), in (0, 1]."""
-    return pair_metrics(graph, s1, s2).lwf
-
-
-def gwf(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
-    """Global weight factor degree / max node degree, in (0, 1]."""
-    return pair_metrics(graph, s1, s2).gwf
 
 
 def structural_coupling(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
@@ -155,35 +145,42 @@ def ads(graph: ServiceGraph, service: ServiceId) -> int:
     return len(graph.providers(service))
 
 
-def acs(graph: ServiceGraph, service: ServiceId) -> int:
-    """Criticality: ais * ads."""
-    return ais(graph, service) * ads(graph, service)
-
-
 def siy(graph: ServiceGraph) -> int:
     """Number of unordered pairs that depend on each other in both directions."""
     providers = graph.providers
     return sum(1 for s1 in graph.service_ids for s2 in providers(s1) if s1 < s2 and s1 in providers(s2))
 
 
-def service_metrics(graph: ServiceGraph, service: ServiceId) -> ServiceMetrics:
-    clients, providers = ais(graph, service), ads(graph, service)
-    return ServiceMetrics(
-        id=service,
-        indegree=graph.node_indegree(service),
-        outdegree=graph.node_outdegree(service),
-        degree=graph.node_degree(service),
-        class_count=graph.node(service).class_count,
-        cbm=cbm(graph, service),
-        ais=clients,
-        ads=providers,
-        acs=clients * providers,
+def service_table(graph: ServiceGraph) -> tuple[ServiceMetrics, ...]:
+    """Per-service metrics for every service, lexicographic order; ACS is AIS * ADS."""
+    return tuple(
+        ServiceMetrics(
+            id=node.id,
+            indegree=graph.node_indegree(node.id),
+            outdegree=graph.node_outdegree(node.id),
+            degree=graph.node_degree(node.id),
+            class_count=node.class_count,
+            cbm=cbm(graph, node.id),
+            ais=ais(graph, node.id),
+            ads=ads(graph, node.id),
+            acs=ais(graph, node.id) * ads(graph, node.id),
+        )
+        for node in graph.nodes
     )
 
 
-def service_table(graph: ServiceGraph) -> tuple[ServiceMetrics, ...]:
-    """Per-service metrics for every service, lexicographic order."""
-    return tuple(service_metrics(graph, service) for service in graph.service_ids)
+@dataclass(frozen=True)
+class Analysis:
+    """A graph with its pair table and service table, each computed once."""
+
+    graph: ServiceGraph
+    pairs: tuple[PairMetrics, ...]
+    services: tuple[ServiceMetrics, ...]
+
+
+def analyze(graph: ServiceGraph) -> Analysis:
+    """The one metrics pass over a graph that the summary and every report read."""
+    return Analysis(graph, pair_matrix(graph), service_table(graph))
 
 
 def summarize(values: Iterable[float], metric_name: str) -> StatSummary:
@@ -209,10 +206,10 @@ def summarize(values: Iterable[float], metric_name: str) -> StatSummary:
     )
 
 
-def project_summary(graph: ServiceGraph, project_name: str) -> ProjectSummary:
+def project_summary(analysis: Analysis, project_name: str) -> ProjectSummary:
     """Descriptive statistics of all pair and service metrics for a project."""
-    pairs = pair_matrix(graph)
-    cbm_values = [m.cbm for m in service_table(graph) if m.cbm is not None]
+    pairs = analysis.pairs
+    cbm_values = [m.cbm for m in analysis.services if m.cbm is not None]
     return ProjectSummary(
         project_name=project_name,
         degree=summarize((p.degree for p in pairs), "degree"),
@@ -220,5 +217,5 @@ def project_summary(graph: ServiceGraph, project_name: str) -> ProjectSummary:
         gwf=summarize((p.gwf for p in pairs), "gwf"),
         sc=summarize((p.sc for p in pairs), "sc"),
         cbm=summarize(cbm_values, "cbm"),
-        siy=siy(graph),
+        siy=siy(analysis.graph),
     )

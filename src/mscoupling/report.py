@@ -1,6 +1,7 @@
 """Reports and visualizations for analyzed service graphs.
 
-Everything here is deterministic text generation: services appear in
+Every emitter formats an :class:`~mscoupling.metrics.Analysis` and computes
+no metric itself.  The text is deterministic: services appear in
 lexicographic order, numbers are fixed-point, and equal inputs produce
 byte-identical CSV/DOT/SVG output.  Counts (degrees, AIS/ADS/ACS, SIY)
 are printed as plain integers; real-valued metrics (LWF/GWF/SC/CBM and
@@ -12,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import attrgetter
 
-from . import metrics
 from .errors import EmptyGraph, ValidationError
 from .graph import ServiceGraph, ServiceId
-from .metrics import ProjectSummary, StatSummary
+from .metrics import Analysis, ProjectSummary, StatSummary
 
 PAIR_METRICS = ("degree", "lwf", "gwf", "sc")
 
@@ -43,8 +45,9 @@ class RenderOptions:
             raise ValidationError(f"hub_fraction must be in (0, 1], got {self.hub_fraction!r}")
         if not isinstance(self.hub_min_degree, int) or self.hub_min_degree < 0:
             raise ValidationError(f"hub_min_degree must be a non-negative integer, got {self.hub_min_degree!r}")
-        if not isinstance(self.decimal_places, int) or self.decimal_places < 0:
-            raise ValidationError(f"decimal_places must be a non-negative integer, got {self.decimal_places!r}")
+        # a double carries at most 17 significant digits
+        if not isinstance(self.decimal_places, int) or not 0 <= self.decimal_places <= 17:
+            raise ValidationError(f"decimal_places must be an integer in [0, 17], got {self.decimal_places!r}")
 
 
 def classify(graph: ServiceGraph, service: ServiceId, options: RenderOptions = RenderOptions()) -> ColorClass:
@@ -80,33 +83,27 @@ def _dot_id(service: ServiceId) -> str:
     return '"' + service.replace("\\", "\\\\") + '"'
 
 
-def emit_pair_matrix_csv(
-    graph: ServiceGraph, metric: str, options: RenderOptions = RenderOptions()
-) -> str:
+def emit_pair_matrix_csv(analysis: Analysis, metric: str, options: RenderOptions = RenderOptions()) -> str:
     """n x n matrix of one pair metric; diagonal and unconnected cells empty."""
     if metric not in PAIR_METRICS:
         raise ValueError(f"metric must be one of {PAIR_METRICS}, got {metric!r}")
-    cells = {(p.s1, p.s2): getattr(p, metric) for p in metrics.pair_matrix(graph)}
-    services = graph.service_ids
+    services = analysis.graph.service_ids
+    column = {service: index for index, service in enumerate(services)}
+    row_pairs = {s1: tuple(pairs) for s1, pairs in groupby(analysis.pairs, attrgetter("s1"))}
     lines = ["service," + ",".join(services)]
     for row in services:
-        rendered = []
-        for column in services:
-            value = cells.get((row, column))
-            if value is None:
-                rendered.append("")
-            elif metric == "degree":
-                rendered.append(str(value))
-            else:
-                rendered.append(_fmt(value, options.decimal_places))
-        lines.append(row + "," + ",".join(rendered))
+        cells = [""] * len(services)
+        for pair in row_pairs.get(row, ()):
+            value = getattr(pair, metric)
+            cells[column[pair.s2]] = str(value) if metric == "degree" else _fmt(value, options.decimal_places)
+        lines.append(row + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def emit_service_metrics_csv(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> str:
+def emit_service_metrics_csv(analysis: Analysis, options: RenderOptions = RenderOptions()) -> str:
     """Per-service degree/size/coupling table, one row per service."""
     lines = ["service,in_degree,out_degree,degree,classes,loc,cbm,ais,ads,acs"]
-    for row in metrics.service_table(graph):
+    for row, node in zip(analysis.services, analysis.graph.nodes, strict=True):
         lines.append(
             ",".join(
                 [
@@ -115,7 +112,7 @@ def emit_service_metrics_csv(graph: ServiceGraph, options: RenderOptions = Rende
                     str(row.outdegree),
                     str(row.degree),
                     "" if row.class_count is None else str(row.class_count),
-                    "" if graph.node(row.id).loc is None else str(graph.node(row.id).loc),
+                    "" if node.loc is None else str(node.loc),
                     "" if row.cbm is None else _fmt(row.cbm, options.decimal_places),
                     str(row.ais),
                     str(row.ads),
@@ -156,24 +153,22 @@ def emit_summary_csv(
     return "\n".join(lines) + "\n"
 
 
-def _arrows(graph: ServiceGraph) -> tuple[metrics.PairMetrics, ...]:
-    """Pair metrics of every direction with at least one dependency."""
-    return tuple(pair for pair in metrics.pair_matrix(graph) if pair.outdegree >= 1)
-
-
-def emit_dot(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> str:
+def emit_dot(analysis: Analysis, options: RenderOptions = RenderOptions()) -> str:
     """Colored directed graph in DOT syntax.
 
     One arrow per direction that has at least one dependency, labeled
     with the pair's structural coupling; pen width grows with it so
     tightly coupled pairs stand out.
     """
+    graph = analysis.graph
     lines = ["digraph coupling {", "    node [style=filled];"]
     for service in graph.service_ids:
         color = classify(graph, service, options).value
         size = _fmt(node_size(graph, service), 2)
         lines.append(f"    {_dot_id(service)} [fillcolor={color}, width={size}, height={size}];")
-    for arrow in _arrows(graph):
+    for arrow in analysis.pairs:
+        if arrow.outdegree == 0:
+            continue
         label = _fmt(arrow.sc, options.decimal_places)
         penwidth = _fmt(1 + 3 * arrow.sc, 2)
         lines.append(f'    {_dot_id(arrow.s1)} -> {_dot_id(arrow.s2)} [label="{label}", penwidth={penwidth}];')
@@ -192,16 +187,11 @@ def _svg_positions(count: int) -> list[tuple[float, float]]:
     center = _SVG_SIZE / 2
     if count == 1:
         return [(center, center)]
-    positions = []
-    for index in range(count):
-        angle = -math.pi / 2 + 2 * math.pi * index / count
-        positions.append(
-            (center + _SVG_RADIUS * math.cos(angle), center + _SVG_RADIUS * math.sin(angle))
-        )
-    return positions
+    angles = (-math.pi / 2 + 2 * math.pi * index / count for index in range(count))
+    return [(center + _SVG_RADIUS * math.cos(angle), center + _SVG_RADIUS * math.sin(angle)) for angle in angles]
 
 
-def emit_svg(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> str:
+def emit_svg(analysis: Analysis, options: RenderOptions = RenderOptions()) -> str:
     """Self-contained SVG drawing of the coupling graph.
 
     Services are placed clockwise on a circle in lexicographic order,
@@ -209,6 +199,7 @@ def emit_svg(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> s
     directed dependency is a straight arrow labeled with the pair's
     structural coupling.
     """
+    graph = analysis.graph
     if not graph.nodes:
         raise EmptyGraph("cannot render an empty graph")
     services = graph.service_ids
@@ -230,7 +221,9 @@ def emit_svg(graph: ServiceGraph, options: RenderOptions = RenderOptions()) -> s
         f'  <rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
     ]
 
-    for arrow in _arrows(graph):
+    for arrow in analysis.pairs:
+        if arrow.outdegree == 0:
+            continue
         s1, s2 = arrow.s1, arrow.s2
         (x1, y1), (x2, y2) = position[s1], position[s2]
         length = math.hypot(x2 - x1, y2 - y1)

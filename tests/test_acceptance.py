@@ -17,12 +17,13 @@ import oracles
 from mscoupling.cli import main
 from mscoupling.errors import UnconnectedPair
 from mscoupling.metrics import (
-    acs,
     ads,
     ais,
-    lwf,
+    analyze,
     pair_matrix,
+    pair_metrics,
     project_summary,
+    service_table,
     siy,
     structural_coupling,
 )
@@ -75,7 +76,7 @@ def test_star_anchor_values():
     assert f"{max(sc_values):.2f}" == "0.88"
 
     assert [pair.gwf for pair in pairs] == pytest.approx([0.25] * 8, abs=TOLERANCE)
-    summary = project_summary(star, "star")
+    summary = project_summary(analyze(star), "star")
     assert summary.gwf.stdev == pytest.approx(0.0, abs=TOLERANCE)
 
     lwf_values = sorted(pair.lwf for pair in pairs)
@@ -100,7 +101,7 @@ def test_engine_matches_brute_force_oracle():
         for s1, s2 in graph.connected_pairs():
             checked_pairs += 1
             assert graph.pair_degree(s1, s2) == oracles.pair_degree(raw, s1, s2)
-            assert abs(lwf(graph, s1, s2) - oracles.lwf(raw, s1, s2)) <= TOLERANCE
+            assert abs(pair_metrics(graph, s1, s2).lwf - oracles.lwf(raw, s1, s2)) <= TOLERANCE
             assert (
                 abs(structural_coupling(graph, s1, s2) - oracles.sc(raw, names, s1, s2))
                 <= TOLERANCE
@@ -108,7 +109,8 @@ def test_engine_matches_brute_force_oracle():
         for service in names:
             assert ais(graph, service) == oracles.ais(raw, service)
             assert ads(graph, service) == oracles.ads(raw, service)
-            assert acs(graph, service) == oracles.acs(raw, service)
+        for row in service_table(graph):
+            assert row.acs == oracles.acs(raw, row.id)
         assert siy(graph) == oracles.siy(raw)
         assert graph.articulation_services() == frozenset(
             oracles.articulation_points(names, raw)
@@ -128,7 +130,7 @@ def test_metric_invariants_on_random_graphs():
 
             degree = graph.pair_degree(s1, s2)
             assert degree == graph.pair_degree(s2, s1)
-            mirror_sum = lwf(graph, s1, s2) + lwf(graph, s2, s1)
+            mirror_sum = pair_metrics(graph, s1, s2).lwf + pair_metrics(graph, s2, s1).lwf
             assert abs(mirror_sum - (degree + 2) / (degree + 1)) <= TOLERANCE
 
             sc_backward = structural_coupling(graph, s2, s1)
@@ -140,8 +142,8 @@ def test_metric_invariants_on_random_graphs():
                 assert sc_forward < sc_backward
             else:
                 assert sc_forward > sc_backward
-        for service in graph.service_ids:
-            assert acs(graph, service) == ais(graph, service) * ads(graph, service)
+        for row in service_table(graph):
+            assert row.acs == ais(graph, row.id) * ads(graph, row.id)
 
 
 def test_cbm_absent_without_class_counts(tmp_path, capsys):
@@ -169,7 +171,7 @@ def test_cbm_absent_without_class_counts(tmp_path, capsys):
     assert sc_rows[2].startswith("leaf1,")
     assert leaf1[1] == "0.75"
 
-    summary = project_summary(make_star4(), "star")
+    summary = project_summary(analyze(make_star4()), "star")
     assert summary.cbm.count == 0
     assert summary.sc.count == 8
     with pytest.raises(UnconnectedPair):
@@ -228,8 +230,8 @@ def test_repeated_and_parallel_runs_are_byte_identical(tmp_path, capsys):
 def test_drawings_match_golden_files():
     fixtures = {"example": sample_graph(), "star4": make_star4()}
     for name, graph in fixtures.items():
-        assert emit_dot(graph) == (GOLDEN_DIR / f"{name}.dot").read_text()
-        assert emit_svg(graph) == (GOLDEN_DIR / f"{name}.svg").read_text()
+        assert emit_dot(analyze(graph)) == (GOLDEN_DIR / f"{name}.dot").read_text()
+        assert emit_svg(analyze(graph)) == (GOLDEN_DIR / f"{name}.svg").read_text()
 
     star = make_star4()
     assert "hub" in star.articulation_services()

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from mscoupling import metrics
 from mscoupling.cli import OUTPUT_NAMES, main, run
 
 SINGLE_EDGE_DESCRIPTOR = {
@@ -41,6 +44,11 @@ def write_corpus_project(root, dir_name, document):
     return project_dir
 
 
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
 def read_tree(root):
     return {
         str(path.relative_to(root)): path.read_bytes()
@@ -58,6 +66,32 @@ class TestAnalyze:
         assert produced == set(CSV_FILES) | {"graph.dot"}
         line = capsys.readouterr().out.strip()
         assert line == "pair: services=2 edges=1 siy=0 sc_max=0.50 sc_avg=0.25"
+
+    def test_pair_metrics_evaluated_once_per_pair(self, tmp_path, monkeypatch, capsys):
+        document = {
+            "name": "hub",
+            "services": [{"id": service} for service in ("api", "auth", "db", "web", "worker")],
+            "edges": [
+                {"source": "web", "target": "api", "weight": 2},
+                {"source": "api", "target": "web"},
+                {"source": "api", "target": "db", "weight": 3},
+                {"source": "auth", "target": "db"},
+                {"source": "worker", "target": "api"},
+            ],
+        }
+        source = write_descriptor(tmp_path, document)
+        evaluated = Counter()
+        pair_metrics = metrics.pair_metrics
+
+        def counting(graph, s1, s2):
+            evaluated[s1, s2] += 1
+            return pair_metrics(graph, s1, s2)
+
+        monkeypatch.setattr(metrics, "pair_metrics", counting)
+        assert main(["analyze", str(source), "--out", str(tmp_path / "out"), "--emit", "csv,dot,svg"]) == 0
+        capsys.readouterr()
+        assert len(evaluated) == 8
+        assert set(evaluated.values()) == {1}
 
     def test_emit_selection(self, tmp_path):
         source = write_descriptor(tmp_path, SINGLE_EDGE_DESCRIPTOR)
@@ -157,6 +191,56 @@ class TestAnalyze:
         assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_integer_beyond_digit_limit_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "project.json"
+        source.write_text('{"name": "big", "services": [{"id": "a", "classes": 1' + "0" * 5000 + "}]}")
+        assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid JSON")
+
+    def test_stray_quote_in_large_edge_csv_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "deps.csv"
+        rows = "".join(f"svc-{i},svc-{i + 1}\n" for i in range(20000))
+        source.write_text('source,target\nA,B\n"C,D\n' + rows)
+        assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: malformed CSV record")
+
+    @pytest.mark.parametrize(
+        "filename, text",
+        [
+            ("project.json", json.dumps(SINGLE_EDGE_DESCRIPTOR | {"name": "a,b\nc"})),
+            ("a,b.csv", "source,target\nA,B\n"),
+            ("x,y.yml", "services:\n  web: {}\n"),
+        ],
+        ids=["descriptor-name", "edges-stem", "compose-stem"],
+    )
+    def test_project_name_with_separator_exits_1(self, tmp_path, filename, text, capsys):
+        source = tmp_path / filename
+        source.write_text(text)
+        out = tmp_path / "out"
+        assert main(["analyze", str(source), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "project name" in captured.err
+        assert not out.exists()
+
+    def test_summary_csv_reads_back_project_name(self, tmp_path, capsys):
+        source = write_descriptor(tmp_path, SINGLE_EDGE_DESCRIPTOR | {"name": "shop v2.1 (beta)"})
+        out = tmp_path / "out"
+        assert main(["analyze", str(source), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("shop v2.1 (beta): services=2 ")
+        rows = read_rows(out / "summary.csv")
+        assert [row["project"] for row in rows] == ["shop v2.1 (beta)"]
+        assert rows[0]["sc_max"] == "0.50"
+
+    @pytest.mark.parametrize("escaped_id", ["\\b", "\\ud800"], ids=["control", "surrogate"])
+    def test_unprintable_service_id_exits_1(self, tmp_path, escaped_id, capsys):
+        source = tmp_path / "project.json"
+        source.write_text('{"name": "x", "services": [{"id": "a%s"}]}' % escaped_id)
+        out = tmp_path / "out"
+        assert main(["analyze", str(source), "--out", str(out), "--emit", "csv,dot,svg"]) == 1
+        assert "forbidden character" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_removes_outputs_it_did_not_write(self, tmp_path):
         source = write_descriptor(tmp_path, SINGLE_EDGE_DESCRIPTOR)
         out = tmp_path / "out"
@@ -177,6 +261,7 @@ class TestAnalyze:
             ["--emit", " , "],
             ["--hub-fraction", "1.5"],
             ["--decimal-places", "-1"],
+            ["--decimal-places", "18"],
         ],
     )
     def test_bad_options_exit_1(self, tmp_path, flags, capsys):
@@ -265,6 +350,18 @@ class TestCorpus:
         assert errors.startswith("bad: ")
         summary_lines = (out / "corpus_summary.csv").read_text().splitlines()
         assert len(summary_lines) == 2
+
+    def test_project_name_with_separator_fails_alone(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        write_corpus_project(root, "bad", SINGLE_EDGE_DESCRIPTOR | {"name": "a,b\nc"})
+        write_corpus_project(root, "good", SINGLE_EDGE_DESCRIPTOR | {"name": "good"})
+        out = tmp_path / "out"
+        assert main(["corpus", str(root), "--out", str(out)]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "1 project(s) analyzed, 1 failed"
+        assert [row["project"] for row in read_rows(out / "corpus_summary.csv")] == ["good"]
+        assert [row["project"] for row in read_rows(out / "good" / "summary.csv")] == ["good"]
+        assert (out / "corpus_errors.txt").read_text().startswith("bad: project name")
+        assert not any((out / "bad" / name).exists() for name in OUTPUT_NAMES)
 
     def test_duplicate_project_names_flagged(self, tmp_path, capsys):
         root = tmp_path / "corpus"

@@ -29,6 +29,18 @@ class TestServiceNode:
         with pytest.raises(ValidationError):
             ServiceNode(bad_id)
 
+    @pytest.mark.parametrize(
+        "bad_id", ["a\bb", "\x00", "a\x85", "a\u2028b", "\ud800", "a\ufffe"],
+        ids=["backspace", "nul", "c1-control", "line-separator", "surrogate", "noncharacter"],
+    )
+    def test_rejects_unprintable_ids(self, bad_id):
+        with pytest.raises(ValidationError, match="forbidden character"):
+            ServiceNode(bad_id)
+
+    @pytest.mark.parametrize("good_id", ["café", "a b", "a&<>\\'b", "服务"])
+    def test_accepts_printable_ids(self, good_id):
+        assert ServiceNode(good_id).id == good_id
+
     @pytest.mark.parametrize("field", ["class_count", "loc"])
     def test_rejects_negative_counts(self, field):
         with pytest.raises(ValidationError):

@@ -67,6 +67,16 @@ class TestDescriptorParsing:
         with pytest.raises(ValidationError):
             parse_project_descriptor('{"services": []}')
 
+    @pytest.mark.parametrize("name", ["a,b\nc", 'say "hi"', "tab\there"])
+    def test_name_with_forbidden_character_rejected(self, name):
+        with pytest.raises(ValidationError, match="project name"):
+            parse_project_descriptor(json.dumps({"name": name}))
+
+    def test_integer_beyond_digit_limit_is_parse_error(self):
+        text = '{"name": "x", "services": [{"id": "a", "classes": 1' + "0" * 5000 + "}]}"
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_project_descriptor(text)
+
     def test_duplicate_service_id(self):
         with pytest.raises(ValidationError) as excinfo:
             parse_project_descriptor(
@@ -173,6 +183,12 @@ class TestEdgeCsvParsing:
     def test_unknown_kind(self):
         with pytest.raises(ParseError):
             parse_edge_csv("source,target,weight,kind\nA,B,1,magic\n")
+
+    def test_stray_quote_reports_the_line_its_record_starts_on(self):
+        rows = "".join(f"svc-{i},svc-{i + 1}\n" for i in range(20000))
+        with pytest.raises(ParseError, match="field larger than field limit") as excinfo:
+            parse_edge_csv('source,target\nA,B\n"C,D\n' + rows)
+        assert excinfo.value.line == 3
 
 
 class TestComposeParsing:
@@ -335,6 +351,17 @@ class TestLoadProject:
         graph, descriptor = load_project(path)
         assert descriptor.name == "docker-compose"
         assert graph.pair_outdegree("web", "db") == 1
+
+    @pytest.mark.parametrize(
+        "filename, text",
+        [("a,b.csv", "source,target\nweb,db\n"), ("stack,v2.yml", "services:\n  web: {}\n")],
+        ids=["edges", "compose"],
+    )
+    def test_file_stem_with_comma_rejected_as_project_name(self, tmp_path, filename, text):
+        path = tmp_path / filename
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="project name"):
+            load_project(path)
 
     def test_explicit_format_overrides_extension(self, tmp_path):
         path = tmp_path / "edges.txt"

@@ -13,16 +13,13 @@ import oracles
 from mscoupling.errors import UnconnectedPair, UnknownService
 from mscoupling.graph import DependencyEdge, ServiceGraph, ServiceNode
 from mscoupling.metrics import (
-    acs,
     ads,
     ais,
+    analyze,
     cbm,
-    gwf,
-    lwf,
     pair_matrix,
     pair_metrics,
     project_summary,
-    service_metrics,
     service_table,
     siy,
     structural_coupling,
@@ -42,40 +39,40 @@ def bidirectional_pair():
 
 class TestLocalWeightFactor:
     def test_single_edge_directions(self, single_edge):
-        assert lwf(single_edge, "A", "B") == pytest.approx(1.0, **APPROX)
-        assert lwf(single_edge, "B", "A") == pytest.approx(0.5, **APPROX)
+        assert pair_metrics(single_edge, "A", "B").lwf == pytest.approx(1.0, **APPROX)
+        assert pair_metrics(single_edge, "B", "A").lwf == pytest.approx(0.5, **APPROX)
 
     def test_balanced_pair(self):
         graph = bidirectional_pair()
-        assert lwf(graph, "A", "B") == pytest.approx(2 / 3, **APPROX)
-        assert lwf(graph, "B", "A") == pytest.approx(2 / 3, **APPROX)
+        assert pair_metrics(graph, "A", "B").lwf == pytest.approx(2 / 3, **APPROX)
+        assert pair_metrics(graph, "B", "A").lwf == pytest.approx(2 / 3, **APPROX)
 
     def test_demo_values(self, demo):
-        assert lwf(demo, "A", "B") == pytest.approx(0.5, **APPROX)
-        assert lwf(demo, "B", "A") == pytest.approx(1.0, **APPROX)
-        assert lwf(demo, "A", "E") == pytest.approx(2 / 3, **APPROX)
+        assert pair_metrics(demo, "A", "B").lwf == pytest.approx(0.5, **APPROX)
+        assert pair_metrics(demo, "B", "A").lwf == pytest.approx(1.0, **APPROX)
+        assert pair_metrics(demo, "A", "E").lwf == pytest.approx(2 / 3, **APPROX)
 
     def test_unconnected_pair_rejected(self, demo):
         with pytest.raises(UnconnectedPair):
-            lwf(demo, "B", "C")
+            pair_metrics(demo, "B", "C").lwf
 
 
 class TestGlobalWeightFactor:
     def test_only_edge_is_global_maximum(self, single_edge):
-        assert gwf(single_edge, "A", "B") == pytest.approx(1.0, **APPROX)
+        assert pair_metrics(single_edge, "A", "B").gwf == pytest.approx(1.0, **APPROX)
 
     def test_star_pairs(self, star4):
         for leaf in ("leaf1", "leaf2", "leaf3", "leaf4"):
-            assert gwf(star4, leaf, "hub") == pytest.approx(0.25, **APPROX)
-            assert gwf(star4, "hub", leaf) == pytest.approx(0.25, **APPROX)
+            assert pair_metrics(star4, leaf, "hub").gwf == pytest.approx(0.25, **APPROX)
+            assert pair_metrics(star4, "hub", leaf).gwf == pytest.approx(0.25, **APPROX)
 
     def test_demo_values(self, demo):
-        assert gwf(demo, "A", "B") == pytest.approx(0.2, **APPROX)
-        assert gwf(demo, "A", "E") == pytest.approx(0.4, **APPROX)
+        assert pair_metrics(demo, "A", "B").gwf == pytest.approx(0.2, **APPROX)
+        assert pair_metrics(demo, "A", "E").gwf == pytest.approx(0.4, **APPROX)
 
     def test_unconnected_pair_rejected(self, demo):
         with pytest.raises(UnconnectedPair):
-            gwf(demo, "C", "D")
+            pair_metrics(demo, "C", "D").gwf
 
 
 class TestStructuralCoupling:
@@ -121,8 +118,8 @@ class TestPairMatrix:
     def test_entries_are_internally_consistent(self, demo):
         for m in pair_matrix(demo):
             assert m.degree == m.outdegree + m.indegree
-            assert m.lwf == pytest.approx(lwf(demo, m.s1, m.s2), **APPROX)
-            assert m.gwf == pytest.approx(gwf(demo, m.s1, m.s2), **APPROX)
+            assert m.lwf == pytest.approx(pair_metrics(demo, m.s1, m.s2).lwf, **APPROX)
+            assert m.gwf == pytest.approx(pair_metrics(demo, m.s1, m.s2).gwf, **APPROX)
             assert m.sc == pytest.approx(structural_coupling(demo, m.s1, m.s2), **APPROX)
 
     def test_pair_metrics_matches_components(self, demo):
@@ -163,7 +160,8 @@ class TestServiceLevelMetrics:
     def test_ais_ads_acs_star(self, star4):
         assert ais(star4, "hub") == 4
         assert ads(star4, "hub") == 0
-        assert acs(star4, "hub") == 0
+        hub = service_table(star4)[0]
+        assert (hub.id, hub.acs) == ("hub", 0)
         assert ais(star4, "leaf1") == 0
         assert ads(star4, "leaf1") == 1
 
@@ -175,7 +173,8 @@ class TestServiceLevelMetrics:
         assert ais(graph, "A") == 1
 
     def test_demo_service_row(self, demo):
-        row = service_metrics(demo, "A")
+        row = service_table(demo)[0]
+        assert row.id == "A"
         assert (row.indegree, row.outdegree, row.degree) == (4, 1, 5)
         assert row.class_count == 50
         assert row.cbm == pytest.approx(0.02, **APPROX)
@@ -230,7 +229,7 @@ class TestSummaries:
         assert summarize([1, 2, 10, 20], "x").median == pytest.approx(6.0, **APPROX)
 
     def test_project_summary_star(self, star4):
-        summary = project_summary(star4, "star")
+        summary = project_summary(analyze(star4), "star")
         assert summary.project_name == "star"
         assert summary.sc.count == 8
         assert summary.gwf.max == pytest.approx(0.25, **APPROX)
@@ -242,7 +241,7 @@ class TestSummaries:
         assert summary.siy == 0
 
     def test_project_summary_demo(self, demo):
-        summary = project_summary(demo, "demo")
+        summary = project_summary(analyze(demo), "demo")
         assert summary.sc.count == 8
         assert summary.sc.avg == pytest.approx((3 * 0.9 + 3 * 0.8 + 2 * 13 / 15) / 8, **APPROX)
         assert summary.degree.total == 10
@@ -250,7 +249,7 @@ class TestSummaries:
         assert summary.siy == 1
 
     def test_project_summary_edgeless(self):
-        summary = project_summary(ServiceGraph.build([ServiceNode("A")]), "one")
+        summary = project_summary(analyze(ServiceGraph.build([ServiceNode("A")])), "one")
         assert summary.sc.count == 0
         assert summary.degree.count == 0
         assert summary.siy == 0
@@ -266,8 +265,8 @@ class TestMetricProperties:
     @given(service_graphs())
     def test_lwf_range_and_mirror_identity(self, graph):
         for s1, s2 in graph.connected_pairs():
-            forward = lwf(graph, s1, s2)
-            backward = lwf(graph, s2, s1)
+            forward = pair_metrics(graph, s1, s2).lwf
+            backward = pair_metrics(graph, s2, s1).lwf
             assert 0.0 < forward <= 1.0
             degree = graph.pair_degree(s1, s2)
             assert forward + backward == pytest.approx(
@@ -277,9 +276,9 @@ class TestMetricProperties:
     @given(service_graphs())
     def test_gwf_range_and_symmetry(self, graph):
         for s1, s2 in graph.connected_pairs():
-            value = gwf(graph, s1, s2)
+            value = pair_metrics(graph, s1, s2).gwf
             assert 0.0 < value <= 1.0
-            assert value == pytest.approx(gwf(graph, s2, s1), **APPROX)
+            assert value == pytest.approx(pair_metrics(graph, s2, s1).gwf, **APPROX)
 
     @given(service_graphs())
     def test_sc_orders_by_outdegree(self, graph):
@@ -308,13 +307,14 @@ class TestMetricProperties:
         for s in ids:
             assert ais(graph, s) == oracles.ais(raw, s)
             assert ads(graph, s) == oracles.ads(raw, s)
-            assert acs(graph, s) == oracles.acs(raw, s)
+        for row in service_table(graph):
+            assert row.acs == oracles.acs(raw, row.id)
         assert siy(graph) == oracles.siy(raw)
 
     @given(service_graphs())
     def test_acs_is_product(self, graph):
-        for s in graph.service_ids:
-            assert acs(graph, s) == ais(graph, s) * ads(graph, s)
+        for row in service_table(graph):
+            assert row.acs == ais(graph, row.id) * ads(graph, row.id)
 
     @given(service_graphs())
     def test_siy_bounded_by_connected_pairs(self, graph):
@@ -329,7 +329,7 @@ class TestMetricProperties:
             graph.edges + (DependencyEdge("zz1", "zz2"),),
         )
         for s1, s2 in pairs:
-            assert lwf(grown, s1, s2) == pytest.approx(lwf(graph, s1, s2), **APPROX)
+            assert pair_metrics(grown, s1, s2).lwf == pytest.approx(pair_metrics(graph, s1, s2).lwf, **APPROX)
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
     def test_summarize_agrees_with_statistics_module(self, values):

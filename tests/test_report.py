@@ -11,7 +11,7 @@ from hypothesis import given
 
 from mscoupling.errors import EmptyGraph, ValidationError
 from mscoupling.graph import DependencyEdge, ServiceGraph, ServiceNode
-from mscoupling.metrics import project_summary
+from mscoupling.metrics import analyze, project_summary
 from mscoupling.report import (
     PAIR_METRICS,
     ColorClass,
@@ -48,11 +48,15 @@ class TestRenderOptions:
             {"hub_min_degree": -1},
             {"hub_min_degree": 2.5},
             {"decimal_places": -1},
+            {"decimal_places": 18},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValidationError):
             RenderOptions(**kwargs)
+
+    def test_decimal_places_up_to_double_precision(self):
+        assert RenderOptions(decimal_places=17).decimal_places == 17
 
 
 class TestClassification:
@@ -100,42 +104,42 @@ class TestNodeSize:
 
 class TestPairMatrixCsv:
     def test_single_edge_sc_matrix(self, single_edge):
-        assert emit_pair_matrix_csv(single_edge, "sc") == (
+        assert emit_pair_matrix_csv(analyze(single_edge), "sc") == (
             "service,A,B\nA,,0.00\nB,0.50,\n"
         )
 
     def test_degree_cells_are_integers(self, single_edge):
-        assert emit_pair_matrix_csv(single_edge, "degree") == (
+        assert emit_pair_matrix_csv(analyze(single_edge), "degree") == (
             "service,A,B\nA,,1\nB,1,\n"
         )
 
     def test_unconnected_cells_empty(self, demo):
-        rows = rows_by_first_column(emit_pair_matrix_csv(demo, "sc"))
+        rows = rows_by_first_column(emit_pair_matrix_csv(analyze(demo), "sc"))
         assert rows["B"]["C"] == ""
         assert rows["B"]["A"] == "0.80"
         assert rows["A"]["A"] == ""
 
     def test_star_lwf_matrix(self, star4):
-        rows = rows_by_first_column(emit_pair_matrix_csv(star4, "lwf"))
+        rows = rows_by_first_column(emit_pair_matrix_csv(analyze(star4), "lwf"))
         assert rows["leaf1"]["hub"] == "1.00"
         assert rows["hub"]["leaf1"] == "0.50"
 
     def test_decimal_places(self, single_edge):
-        text = emit_pair_matrix_csv(single_edge, "sc", RenderOptions(decimal_places=3))
+        text = emit_pair_matrix_csv(analyze(single_edge), "sc", RenderOptions(decimal_places=3))
         assert "0.500" in text
 
     def test_edgeless_matrix_all_empty(self):
         graph = ServiceGraph.build([ServiceNode("A"), ServiceNode("B")])
-        assert emit_pair_matrix_csv(graph, "sc") == "service,A,B\nA,,\nB,,\n"
+        assert emit_pair_matrix_csv(analyze(graph), "sc") == "service,A,B\nA,,\nB,,\n"
 
     def test_unknown_metric_rejected(self, demo):
         with pytest.raises(ValueError):
-            emit_pair_matrix_csv(demo, "entropy")
+            emit_pair_matrix_csv(analyze(demo), "entropy")
 
     @given(service_graphs(min_nodes=1, max_nodes=5))
     def test_matrix_shape(self, graph):
         for metric in PAIR_METRICS:
-            lines = emit_pair_matrix_csv(graph, metric).splitlines()
+            lines = emit_pair_matrix_csv(analyze(graph), metric).splitlines()
             count = len(graph.service_ids)
             assert len(lines) == count + 1
             assert all(line.count(",") == count for line in lines)
@@ -143,7 +147,7 @@ class TestPairMatrixCsv:
 
 class TestServiceMetricsCsv:
     def test_demo_table(self, demo):
-        assert emit_service_metrics_csv(demo) == (
+        assert emit_service_metrics_csv(analyze(demo)) == (
             "service,in_degree,out_degree,degree,classes,loc,cbm,ais,ads,acs\n"
             "A,4,1,5,50,,0.02,4,1,4\n"
             "B,0,1,1,10,,0.10,0,1,0\n"
@@ -153,20 +157,20 @@ class TestServiceMetricsCsv:
         )
 
     def test_missing_class_count_leaves_cells_empty(self, star4):
-        rows = rows_by_first_column(emit_service_metrics_csv(star4))
+        rows = rows_by_first_column(emit_service_metrics_csv(analyze(star4)))
         assert rows["hub"]["classes"] == ""
         assert rows["hub"]["cbm"] == ""
         assert rows["hub"]["ais"] == "4"
 
     def test_loc_column(self):
         graph = ServiceGraph.build([ServiceNode("A", loc=120)])
-        rows = rows_by_first_column(emit_service_metrics_csv(graph))
+        rows = rows_by_first_column(emit_service_metrics_csv(analyze(graph)))
         assert rows["A"]["loc"] == "120"
 
 
 class TestSummaryCsv:
     def test_star_row(self, star4):
-        text = emit_summary_csv([project_summary(star4, "star")])
+        text = emit_summary_csv([project_summary(analyze(star4), "star")])
         rows = rows_by_first_column(text)
         row = rows["star"]
         assert row["sc_max"] == "0.88"
@@ -181,12 +185,12 @@ class TestSummaryCsv:
         assert row["siy"] == "0"
 
     def test_undefined_cbm_group_left_blank(self, star4):
-        row = rows_by_first_column(emit_summary_csv([project_summary(star4, "star")]))["star"]
+        row = rows_by_first_column(emit_summary_csv([project_summary(analyze(star4), "star")]))["star"]
         assert row["cbm_max"] == ""
         assert row["cbm_tot"] == ""
 
     def test_demo_row(self, demo):
-        row = rows_by_first_column(emit_summary_csv([project_summary(demo, "demo")]))["demo"]
+        row = rows_by_first_column(emit_summary_csv([project_summary(analyze(demo), "demo")]))["demo"]
         assert row["sc_max"] == "0.90"
         assert row["sc_avg"] == "0.85"
         assert row["sc_med"] == "0.87"
@@ -195,7 +199,7 @@ class TestSummaryCsv:
 
     def test_multiple_projects_one_row_each(self, demo, star4):
         text = emit_summary_csv(
-            [project_summary(demo, "demo"), project_summary(star4, "star")]
+            [project_summary(analyze(demo), "demo"), project_summary(analyze(star4), "star")]
         )
         assert len(text.splitlines()) == 3
 
@@ -209,7 +213,7 @@ class TestSummaryCsv:
 
 class TestDot:
     def test_demo_dot(self, demo):
-        text = emit_dot(demo)
+        text = emit_dot(analyze(demo))
         assert text.startswith("digraph coupling {\n")
         assert '"A" [fillcolor=green, width=3.00, height=3.00];' in text
         assert '"B" [fillcolor=blue, width=1.40, height=1.40];' in text
@@ -218,73 +222,73 @@ class TestDot:
         assert '"A" -> "B"' not in text
 
     def test_one_arrow_per_direction(self, single_edge):
-        text = emit_dot(single_edge)
+        text = emit_dot(analyze(single_edge))
         assert text.count("->") == 1
         assert '"A" -> "B" [label="0.00", penwidth=1.00];' in text
 
     def test_edgeless_graph_lists_nodes_only(self):
         graph = ServiceGraph.build([ServiceNode("A")])
-        text = emit_dot(graph)
+        text = emit_dot(analyze(graph))
         assert '"A" [fillcolor=red' in text
         assert "->" not in text
 
     def test_empty_graph(self):
-        assert emit_dot(ServiceGraph.build([])) == "digraph coupling {\n    node [style=filled];\n}\n"
+        assert emit_dot(analyze(ServiceGraph.build([]))) == "digraph coupling {\n    node [style=filled];\n}\n"
 
     def test_backslash_in_id_escaped(self):
         graph = ServiceGraph.build([ServiceNode("x\\"), ServiceNode("y")], [DependencyEdge("x\\", "y")])
-        lines = emit_dot(graph).splitlines()
+        lines = emit_dot(analyze(graph)).splitlines()
         assert lines[2].startswith('    "x\\\\" [fillcolor=')
         assert lines[4].startswith('    "x\\\\" -> "y" [')
 
     def test_deterministic(self, demo):
-        assert emit_dot(demo) == emit_dot(demo)
+        assert emit_dot(analyze(demo)) == emit_dot(analyze(demo))
 
 
 class TestSvg:
     def test_structure(self, star4):
-        text = emit_svg(star4)
+        text = emit_svg(analyze(star4))
         assert text.startswith('<?xml version="1.0" encoding="UTF-8"?>\n')
         assert '<svg xmlns="http://www.w3.org/2000/svg" width="520" height="520"' in text
         assert text.rstrip().endswith("</svg>")
 
     def test_star_colors(self, star4):
-        text = emit_svg(star4)
+        text = emit_svg(analyze(star4))
         assert text.count('fill="green"') == 1
         assert text.count('fill="blue"') == 4
 
     def test_first_service_sits_on_top(self, star4):
         # hub sorts first, so it takes the top position of the circle
-        assert '<circle cx="260.0" cy="80.0"' in emit_svg(star4)
+        assert '<circle cx="260.0" cy="80.0"' in emit_svg(analyze(star4))
 
     def test_single_node_centered_without_edges(self):
         graph = ServiceGraph.build([ServiceNode("A")])
-        text = emit_svg(graph)
+        text = emit_svg(analyze(graph))
         assert '<circle cx="260.0" cy="260.0"' in text
         assert "<line" not in text
 
     def test_one_arrow_per_direction_with_label(self, single_edge):
-        text = emit_svg(single_edge)
+        text = emit_svg(analyze(single_edge))
         assert text.count("<line") == 1
         assert ">0.00</text>" in text
 
     def test_bidirectional_pair_draws_two_arrows(self, demo):
-        assert emit_svg(demo).count("<line") == 5
+        assert emit_svg(analyze(demo)).count("<line") == 5
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyGraph):
-            emit_svg(ServiceGraph.build([]))
+            emit_svg(analyze(ServiceGraph.build([])))
 
     def test_markup_in_id_is_escaped(self):
         graph = ServiceGraph.build([ServiceNode("a&b<c"), ServiceNode("d>")], [DependencyEdge("a&b<c", "d>")])
-        document = minidom.parseString(emit_svg(graph))
+        document = minidom.parseString(emit_svg(analyze(graph)))
         labels = [text.firstChild.data for text in document.getElementsByTagName("text")]
         assert "a&b<c" in labels and "d>" in labels
 
     def test_deterministic(self, demo):
-        assert emit_svg(demo) == emit_svg(demo)
+        assert emit_svg(analyze(demo)) == emit_svg(analyze(demo))
 
     @given(service_graphs(min_nodes=1, max_nodes=6))
     def test_every_service_drawn(self, graph):
-        text = emit_svg(graph)
+        text = emit_svg(analyze(graph))
         assert text.count("<circle") == len(graph.service_ids)
