@@ -14,6 +14,7 @@ finished with at least one failed project.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -118,12 +119,24 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
 
 
 def _write_files(out_dir: Path, files: dict[str, str]) -> None:
-    """Write via temporary names so failed runs leave no partial files."""
+    """Write every file under a temporary name, then rename each into place.
+
+    A failed write renames nothing.  When a write or a rename fails, the
+    temporary files this call created are removed and the error re-raised.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    for filename, content in files.items():
-        tmp = out_dir / (filename + ".tmp")
-        tmp.write_text(content, encoding="utf-8", newline="\n")
-        os.replace(tmp, out_dir / filename)
+    created: list[Path] = []
+    try:
+        for filename, content in files.items():
+            created.append(out_dir / (filename + ".tmp"))
+            created[-1].write_text(content, encoding="utf-8", newline="\n")
+        for filename in files:
+            os.replace(out_dir / (filename + ".tmp"), out_dir / filename)
+    except BaseException:
+        for tmp in created:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+        raise
 
 
 def _summary_line(graph: ServiceGraph, summary: ProjectSummary, options: RenderOptions) -> str:

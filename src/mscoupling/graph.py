@@ -4,7 +4,7 @@ Nodes are services, edges are weighted structural dependencies between
 them.  Each record type checks its own fields on construction, so every
 parser and library caller gets the same rules.  A :class:`ServiceGraph`
 is an immutable value that can be shared freely between analysis tasks.
-All degree queries sum edge weights, so three recorded calls from A to B
+The neighbour maps sum edge weights, so three recorded calls from A to B
 count as three dependencies, not one.
 """
 
@@ -25,6 +25,8 @@ from .errors import (
 )
 
 ServiceId = str
+# Every integer up to 2**53 is exact as a double, and sums of such weights stay far below float overflow.
+MAX_WEIGHT = 2**53
 
 
 def _check_id(value: str, what: str = "service id") -> str:
@@ -89,6 +91,8 @@ class DependencyEdge:
             raise ValidationError(
                 f"edge {self.source!r}->{self.target!r}: weight must be a positive integer, got {self.weight!r}"
             )
+        if self.weight > MAX_WEIGHT:
+            raise ValidationError(f"edge {self.source!r}->{self.target!r}: weight must be at most 2**53")
         if not isinstance(self.kind, EdgeKind):
             try:
                 object.__setattr__(self, "kind", EdgeKind(self.kind))
@@ -175,10 +179,9 @@ class ServiceGraph:
         self._require(service)
         return self._by_id[service]
 
-    def _require(self, *services: ServiceId) -> None:
-        for service in services:
-            if service not in self._by_id:
-                raise UnknownService(f"unknown service {service!r}")
+    def _require(self, service: ServiceId) -> None:
+        if service not in self._by_id:
+            raise UnknownService(f"unknown service {service!r}")
 
     # -- degrees ----------------------------------------------------------
 
@@ -192,26 +195,9 @@ class ServiceGraph:
         self._require(service)
         return MappingProxyType(self._in[service])
 
-    def pair_outdegree(self, s1: ServiceId, s2: ServiceId) -> int:
-        """Total weight of dependencies directed from ``s1`` to ``s2``."""
-        self._require(s1, s2)
-        if s1 == s2:
-            raise ValueError("pair degrees need two distinct services")
-        return self._out[s1].get(s2, 0)
-
-    def pair_degree(self, s1: ServiceId, s2: ServiceId) -> int:
-        """Total dependency weight between the two services, either direction."""
-        return self.pair_outdegree(s1, s2) + self.pair_outdegree(s2, s1)
-
-    def node_outdegree(self, service: ServiceId) -> int:
-        return sum(self.providers(service).values())
-
-    def node_indegree(self, service: ServiceId) -> int:
-        return sum(self.clients(service).values())
-
     def node_degree(self, service: ServiceId) -> int:
         """Total dependency weight incident to the service, both directions."""
-        return self.node_outdegree(service) + self.node_indegree(service)
+        return sum(self.providers(service).values()) + sum(self.clients(service).values())
 
     def max_node_degree(self) -> int:
         """Largest node degree in the graph; 0 when there are no edges."""

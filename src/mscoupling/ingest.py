@@ -30,7 +30,7 @@ from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode, _check_i
 logger = logging.getLogger(__name__)
 
 DESCRIPTOR_FILENAME = "project.json"
-DEFAULT_SOURCE_EXTENSIONS = (".java",)
+SOURCE_SUFFIX = ".java"
 
 FORMATS = ("auto", "descriptor", "edges", "compose")
 _SUFFIX_FORMATS = {".json": "descriptor", ".csv": "edges", ".yml": "compose", ".yaml": "compose"}
@@ -255,13 +255,12 @@ def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
     )
 
 
-def count_source_units(directory: Path, extensions: tuple[str, ...] = DEFAULT_SOURCE_EXTENSIONS) -> int:
-    """Count files under ``directory`` (recursive) with one of the extensions."""
+def count_source_units(directory: Path) -> int:
+    """Count the ``.java`` files under ``directory``, recursively."""
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"not a directory: {directory}")
-    wanted = set(extensions)
-    return sum(1 for path in directory.rglob("*") if path.is_file() and path.suffix in wanted)
+    return sum(1 for path in directory.rglob("*") if path.is_file() and path.suffix == SOURCE_SUFFIX)
 
 
 def build_graph(descriptor: ProjectDescriptor, base_dir: Path | None = None) -> ServiceGraph:

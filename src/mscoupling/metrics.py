@@ -93,10 +93,10 @@ class ProjectSummary:
 
 def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetrics:
     """All per-pair values of a connected ordered pair; `structural_coupling` reads its SC."""
-    outdegree = graph.pair_outdegree(s1, s2)
-    indegree = graph.pair_outdegree(s2, s1)
+    outdegree = graph.providers(s1).get(s2, 0)
+    indegree = graph.providers(s2).get(s1, 0)
     degree = outdegree + indegree
-    if degree == 0:
+    if degree == 0:  # a service never depends on itself, so this covers s1 == s2
         raise UnconnectedPair(f"no dependencies between {s1!r} and {s2!r}")
     local = (1 + outdegree) / (1 + degree)
     global_ = degree / graph.max_node_degree()
@@ -122,29 +122,6 @@ def pair_matrix(graph: ServiceGraph) -> tuple[PairMetrics, ...]:
     return tuple(pair_metrics(graph, s1, s2) for s1, s2 in graph.connected_pairs())
 
 
-def cbm(graph: ServiceGraph, service: ServiceId) -> float | None:
-    """Outgoing dependency weight per class, or None when not computable.
-
-    Undefined (None) when the service has no class count or a class
-    count of zero; a service with classes but no outgoing calls gets a
-    well-defined 0.0.
-    """
-    class_count = graph.node(service).class_count
-    if class_count is None or class_count == 0:
-        return None
-    return graph.node_outdegree(service) / class_count
-
-
-def ais(graph: ServiceGraph, service: ServiceId) -> int:
-    """Number of distinct services with at least one dependency on this one."""
-    return len(graph.clients(service))
-
-
-def ads(graph: ServiceGraph, service: ServiceId) -> int:
-    """Number of distinct services this one has at least one dependency on."""
-    return len(graph.providers(service))
-
-
 def siy(graph: ServiceGraph) -> int:
     """Number of unordered pairs that depend on each other in both directions."""
     providers = graph.providers
@@ -152,21 +129,30 @@ def siy(graph: ServiceGraph) -> int:
 
 
 def service_table(graph: ServiceGraph) -> tuple[ServiceMetrics, ...]:
-    """Per-service metrics for every service, lexicographic order; ACS is AIS * ADS."""
-    return tuple(
-        ServiceMetrics(
-            id=node.id,
-            indegree=graph.node_indegree(node.id),
-            outdegree=graph.node_outdegree(node.id),
-            degree=graph.node_degree(node.id),
-            class_count=node.class_count,
-            cbm=cbm(graph, node.id),
-            ais=ais(graph, node.id),
-            ads=ads(graph, node.id),
-            acs=ais(graph, node.id) * ads(graph, node.id),
+    """Per-service metrics for every service, lexicographic order.
+
+    CBM is the outgoing weight per class, None without a non-zero class
+    count; AIS counts distinct clients, ADS distinct providers, and ACS
+    is AIS * ADS.
+    """
+    rows = []
+    for node in graph.nodes:
+        providers, clients = graph.providers(node.id), graph.clients(node.id)
+        outdegree, indegree = sum(providers.values()), sum(clients.values())
+        rows.append(
+            ServiceMetrics(
+                id=node.id,
+                indegree=indegree,
+                outdegree=outdegree,
+                degree=outdegree + indegree,
+                class_count=node.class_count,
+                cbm=outdegree / node.class_count if node.class_count else None,
+                ais=len(clients),
+                ads=len(providers),
+                acs=len(clients) * len(providers),
+            )
         )
-        for node in graph.nodes
-    )
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from itertools import groupby
 from operator import attrgetter
 
 from .errors import EmptyGraph, ValidationError
-from .graph import ServiceGraph, ServiceId
-from .metrics import Analysis, ProjectSummary, StatSummary
+from .graph import ServiceId
+from .metrics import Analysis, ProjectSummary, ServiceMetrics, StatSummary
 
 PAIR_METRICS = ("degree", "lwf", "gwf", "sc")
 
@@ -50,28 +50,28 @@ class RenderOptions:
             raise ValidationError(f"decimal_places must be an integer in [0, 17], got {self.decimal_places!r}")
 
 
-def classify(graph: ServiceGraph, service: ServiceId, options: RenderOptions = RenderOptions()) -> ColorClass:
-    """Assign the visualization class of a service.
+def classify(analysis: Analysis, row: ServiceMetrics, options: RenderOptions = RenderOptions()) -> ColorClass:
+    """Assign the visualization class of a service from its service-table row.
 
     Precedence: hub (degree within ``hub_fraction`` of the maximum and
     at least ``hub_min_degree``), then bridge (articulation point of
     the undirected projection), then high-out (strictly more outgoing
     than incoming weight), else regular.
     """
-    degree = graph.node_degree(service)
-    if degree >= options.hub_fraction * graph.max_node_degree() and degree >= options.hub_min_degree:
+    graph = analysis.graph
+    if row.degree >= options.hub_fraction * graph.max_node_degree() and row.degree >= options.hub_min_degree:
         return ColorClass.HUB
-    if service in graph.articulation_services():
+    if row.id in graph.articulation_services():
         return ColorClass.BRIDGE
-    if graph.node_outdegree(service) > graph.node_indegree(service):
+    if row.outdegree > row.indegree:
         return ColorClass.HIGH_OUT
     return ColorClass.REGULAR
 
 
-def node_size(graph: ServiceGraph, service: ServiceId) -> float:
+def node_size(analysis: Analysis, row: ServiceMetrics) -> float:
     """Node size scaling linearly from 1x (isolated) to 3x (max degree)."""
-    max_degree = graph.max_node_degree()
-    return 1 + 2 * (graph.node_degree(service) / max_degree if max_degree else 0.0)
+    max_degree = analysis.graph.max_node_degree()
+    return 1 + 2 * (row.degree / max_degree if max_degree else 0.0)
 
 
 def _fmt(value: float, decimal_places: int) -> str:
@@ -160,12 +160,11 @@ def emit_dot(analysis: Analysis, options: RenderOptions = RenderOptions()) -> st
     with the pair's structural coupling; pen width grows with it so
     tightly coupled pairs stand out.
     """
-    graph = analysis.graph
     lines = ["digraph coupling {", "    node [style=filled];"]
-    for service in graph.service_ids:
-        color = classify(graph, service, options).value
-        size = _fmt(node_size(graph, service), 2)
-        lines.append(f"    {_dot_id(service)} [fillcolor={color}, width={size}, height={size}];")
+    for row in analysis.services:
+        color = classify(analysis, row, options).value
+        size = _fmt(node_size(analysis, row), 2)
+        lines.append(f"    {_dot_id(row.id)} [fillcolor={color}, width={size}, height={size}];")
     for arrow in analysis.pairs:
         if arrow.outdegree == 0:
             continue
@@ -199,14 +198,11 @@ def emit_svg(analysis: Analysis, options: RenderOptions = RenderOptions()) -> st
     directed dependency is a straight arrow labeled with the pair's
     structural coupling.
     """
-    graph = analysis.graph
-    if not graph.nodes:
+    if not analysis.graph.nodes:
         raise EmptyGraph("cannot render an empty graph")
-    services = graph.service_ids
+    services = analysis.graph.service_ids
     position = dict(zip(services, _svg_positions(len(services))))
-    radius = {
-        service: _SVG_NODE_RADIUS * node_size(graph, service) for service in services
-    }
+    radius = {row.id: _SVG_NODE_RADIUS * node_size(analysis, row) for row in analysis.services}
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -244,12 +240,12 @@ def emit_svg(analysis: Analysis, options: RenderOptions = RenderOptions()) -> st
             f'  <text x="{mid[0]:.1f}" y="{mid[1]:.1f}" text-anchor="middle" font-size="11">{label}</text>'
         )
 
-    for service in services:
-        x, y = position[service]
-        color = classify(graph, service, options).value
-        text = service.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    for row in analysis.services:
+        x, y = position[row.id]
+        color = classify(analysis, row, options).value
+        text = row.id.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines.append(
-            f'  <circle cx="{x:.1f}" cy="{y:.1f}" r="{radius[service]:.1f}" '
+            f'  <circle cx="{x:.1f}" cy="{y:.1f}" r="{radius[row.id]:.1f}" '
             f'fill="{color}" stroke="#333333"/>'
         )
         lines.append(

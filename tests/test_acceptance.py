@@ -17,8 +17,6 @@ import oracles
 from mscoupling.cli import main
 from mscoupling.errors import UnconnectedPair
 from mscoupling.metrics import (
-    ads,
-    ais,
     analyze,
     pair_matrix,
     pair_metrics,
@@ -100,15 +98,16 @@ def test_engine_matches_brute_force_oracle():
         graph, names, raw = random_graph(rng)
         for s1, s2 in graph.connected_pairs():
             checked_pairs += 1
-            assert graph.pair_degree(s1, s2) == oracles.pair_degree(raw, s1, s2)
+            assert pair_metrics(graph, s1, s2).degree == oracles.pair_degree(raw, s1, s2)
             assert abs(pair_metrics(graph, s1, s2).lwf - oracles.lwf(raw, s1, s2)) <= TOLERANCE
             assert (
                 abs(structural_coupling(graph, s1, s2) - oracles.sc(raw, names, s1, s2))
                 <= TOLERANCE
             )
+        rows = {row.id: row for row in service_table(graph)}
         for service in names:
-            assert ais(graph, service) == oracles.ais(raw, service)
-            assert ads(graph, service) == oracles.ads(raw, service)
+            assert rows[service].ais == oracles.ais(raw, service)
+            assert rows[service].ads == oracles.ads(raw, service)
         for row in service_table(graph):
             assert row.acs == oracles.acs(raw, row.id)
         assert siy(graph) == oracles.siy(raw)
@@ -128,14 +127,14 @@ def test_metric_invariants_on_random_graphs():
             sc_forward = structural_coupling(graph, s1, s2)
             assert 0.0 <= sc_forward < 1.0
 
-            degree = graph.pair_degree(s1, s2)
-            assert degree == graph.pair_degree(s2, s1)
+            degree = pair_metrics(graph, s1, s2).degree
+            assert degree == pair_metrics(graph, s2, s1).degree
             mirror_sum = pair_metrics(graph, s1, s2).lwf + pair_metrics(graph, s2, s1).lwf
             assert abs(mirror_sum - (degree + 2) / (degree + 1)) <= TOLERANCE
 
             sc_backward = structural_coupling(graph, s2, s1)
-            out_forward = graph.pair_outdegree(s1, s2)
-            out_backward = graph.pair_outdegree(s2, s1)
+            out_forward = pair_metrics(graph, s1, s2).outdegree
+            out_backward = pair_metrics(graph, s2, s1).outdegree
             if out_forward == out_backward:
                 assert abs(sc_forward - sc_backward) <= TOLERANCE
             elif out_forward > out_backward:
@@ -143,7 +142,7 @@ def test_metric_invariants_on_random_graphs():
             else:
                 assert sc_forward > sc_backward
         for row in service_table(graph):
-            assert row.acs == ais(graph, row.id) * ads(graph, row.id)
+            assert row.acs == row.ais * row.ads
 
 
 def test_cbm_absent_without_class_counts(tmp_path, capsys):
@@ -233,11 +232,14 @@ def test_drawings_match_golden_files():
         assert emit_dot(analyze(graph)) == (GOLDEN_DIR / f"{name}.dot").read_text()
         assert emit_svg(analyze(graph)) == (GOLDEN_DIR / f"{name}.svg").read_text()
 
-    star = make_star4()
-    assert "hub" in star.articulation_services()
-    assert classify(star, "hub") is ColorClass.HUB
+    star = analyze(make_star4())
+    star_rows = {row.id: row for row in star.services}
+    assert "hub" in star.graph.articulation_services()
+    assert classify(star, star_rows["hub"]) is ColorClass.HUB
     assert ColorClass.HUB.value == "green"
-    assert classify(make_chain3(), "B") is ColorClass.BRIDGE
+    chain = analyze(make_chain3())
+    assert classify(chain, chain.services[1]) is ColorClass.BRIDGE
+    assert chain.services[1].id == "B"
     assert ColorClass.BRIDGE.value == "yellow"
-    assert classify(star, "leaf1") is ColorClass.HIGH_OUT
+    assert classify(star, star_rows["leaf1"]) is ColorClass.HIGH_OUT
     assert ColorClass.HIGH_OUT.value == "blue"

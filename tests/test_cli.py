@@ -14,6 +14,7 @@ import pytest
 
 from mscoupling import metrics
 from mscoupling.cli import OUTPUT_NAMES, main, run
+from mscoupling.graph import ServiceGraph
 
 SINGLE_EDGE_DESCRIPTOR = {
     "name": "pair",
@@ -29,6 +30,19 @@ CSV_FILES = (
     "pair_sc.csv",
     "summary.csv",
 )
+
+
+HUB_DESCRIPTOR = {
+    "name": "hub",
+    "services": [{"id": service} for service in ("api", "auth", "db", "web", "worker")],
+    "edges": [
+        {"source": "web", "target": "api", "weight": 2},
+        {"source": "api", "target": "web"},
+        {"source": "api", "target": "db", "weight": 3},
+        {"source": "auth", "target": "db"},
+        {"source": "worker", "target": "api"},
+    ],
+}
 
 
 def write_descriptor(tmp_path, document, filename="project.json"):
@@ -68,18 +82,7 @@ class TestAnalyze:
         assert line == "pair: services=2 edges=1 siy=0 sc_max=0.50 sc_avg=0.25"
 
     def test_pair_metrics_evaluated_once_per_pair(self, tmp_path, monkeypatch, capsys):
-        document = {
-            "name": "hub",
-            "services": [{"id": service} for service in ("api", "auth", "db", "web", "worker")],
-            "edges": [
-                {"source": "web", "target": "api", "weight": 2},
-                {"source": "api", "target": "web"},
-                {"source": "api", "target": "db", "weight": 3},
-                {"source": "auth", "target": "db"},
-                {"source": "worker", "target": "api"},
-            ],
-        }
-        source = write_descriptor(tmp_path, document)
+        source = write_descriptor(tmp_path, HUB_DESCRIPTOR)
         evaluated = Counter()
         pair_metrics = metrics.pair_metrics
 
@@ -93,6 +96,20 @@ class TestAnalyze:
         assert len(evaluated) == 8
         assert set(evaluated.values()) == {1}
 
+    def test_node_degree_computed_once_per_service(self, tmp_path, monkeypatch, capsys):
+        source = write_descriptor(tmp_path, HUB_DESCRIPTOR)
+        queried = Counter()
+        node_degree = ServiceGraph.node_degree
+
+        def counting(graph, service):
+            queried[service] += 1
+            return node_degree(graph, service)
+
+        monkeypatch.setattr(ServiceGraph, "node_degree", counting)
+        assert main(["analyze", str(source), "--out", str(tmp_path / "out"), "--emit", "csv,dot,svg"]) == 0
+        capsys.readouterr()
+        assert queried == Counter({"api": 1, "auth": 1, "db": 1, "web": 1, "worker": 1})
+
     def test_emit_selection(self, tmp_path):
         source = write_descriptor(tmp_path, SINGLE_EDGE_DESCRIPTOR)
         out = tmp_path / "out"
@@ -104,6 +121,23 @@ class TestAnalyze:
         out = tmp_path / "out"
         main(["analyze", str(source), "--out", str(out), "--emit", "csv,dot,svg"])
         assert not list(out.glob("*.tmp"))
+
+    def test_failed_rename_leaves_no_temp_files(self, tmp_path, capsys):
+        source = write_descriptor(tmp_path, SINGLE_EDGE_DESCRIPTOR)
+        out = tmp_path / "out"
+        (out / "graph.dot").mkdir(parents=True)
+        assert main(["analyze", str(source), "--out", str(out), "--emit", "csv,dot,svg"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(out.glob("*.tmp"))
+        assert (out / "graph.dot").is_dir()
+
+    def test_failed_write_renames_nothing(self, tmp_path, capsys):
+        source = write_descriptor(tmp_path, SINGLE_EDGE_DESCRIPTOR)
+        out = tmp_path / "out"
+        (out / "graph.dot.tmp").mkdir(parents=True)
+        assert main(["analyze", str(source), "--out", str(out), "--emit", "csv,dot,svg"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert [path.name for path in out.iterdir()] == ["graph.dot.tmp"]
 
     def test_edge_csv_input(self, tmp_path, capsys):
         source = tmp_path / "deps.csv"
@@ -196,6 +230,29 @@ class TestAnalyze:
         source.write_text('{"name": "big", "services": [{"id": "a", "classes": 1' + "0" * 5000 + "}]}")
         assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: invalid JSON")
+
+    @pytest.mark.parametrize(
+        "filename, text, position",
+        [
+            (
+                "project.json",
+                '{"name": "big", "services": [{"id": "A"}, {"id": "B"}],'
+                ' "edges": [{"source": "A", "target": "B", "weight": 1' + "0" * 400 + "}]}",
+                "edge #0",
+            ),
+            ("deps.csv", "source,target,weight\nA,B,1" + "0" * 400 + "\n", "line 2"),
+        ],
+        ids=["descriptor", "edges"],
+    )
+    def test_weight_beyond_double_precision_exits_1(self, tmp_path, filename, text, position, capsys):
+        source = tmp_path / filename
+        source.write_text(text)
+        out = tmp_path / "out"
+        assert main(["analyze", str(source), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert position in err and "'A'->'B'" in err and "2**53" in err
+        assert "0" * 20 not in err
+        assert not out.exists()
 
     def test_stray_quote_in_large_edge_csv_exits_1(self, tmp_path, capsys):
         source = tmp_path / "deps.csv"

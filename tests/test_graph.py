@@ -15,6 +15,7 @@ from mscoupling.errors import (
     ValidationError,
 )
 from mscoupling.graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode
+from mscoupling.metrics import pair_metrics, service_table
 from strategies import service_graphs
 
 
@@ -72,6 +73,11 @@ class TestDependencyEdge:
         with pytest.raises(ValidationError):
             DependencyEdge("A", "B", weight=weight)
 
+    def test_weight_bounded_by_double_precision(self):
+        assert DependencyEdge("A", "B", weight=2**53).weight == 2**53
+        with pytest.raises(ValidationError, match=r"at most 2\*\*53"):
+            DependencyEdge("A", "B", weight=2**53 + 1)
+
     @pytest.mark.parametrize("weight", [True, 1.0, "2"])
     def test_rejects_non_int_weight(self, weight):
         with pytest.raises(ValidationError):
@@ -111,7 +117,7 @@ class TestGraphConstruction:
         )
         assert len(graph.edges) == 1
         assert graph.edges[0].weight == 3
-        assert graph.pair_outdegree("A", "B") == 3
+        assert graph.providers("A").get("B", 0) == 3
 
     def test_distinct_kinds_kept_separate(self):
         graph = ServiceGraph.build(
@@ -122,7 +128,7 @@ class TestGraphConstruction:
             ],
         )
         assert len(graph.edges) == 2
-        assert graph.pair_outdegree("A", "B") == 2
+        assert graph.providers("A").get("B", 0) == 2
 
     def test_nodes_sorted_regardless_of_input_order(self):
         forward = ServiceGraph.build([ServiceNode("A"), ServiceNode("B")])
@@ -136,41 +142,39 @@ class TestGraphConstruction:
 
 class TestDegrees:
     def test_pair_degrees_single_edge(self, single_edge):
-        assert single_edge.pair_outdegree("A", "B") == 1
-        assert single_edge.pair_outdegree("B", "A") == 0
-        assert single_edge.pair_degree("A", "B") == 1
-        assert single_edge.pair_degree("B", "A") == 1
+        assert pair_metrics(single_edge, "A", "B").outdegree == 1
+        assert pair_metrics(single_edge, "B", "A").outdegree == 0
+        assert pair_metrics(single_edge, "A", "B").degree == 1
+        assert pair_metrics(single_edge, "B", "A").degree == 1
 
     def test_pair_degree_weighted_bidirectional(self):
         graph = ServiceGraph.build(
             [ServiceNode("A"), ServiceNode("B")],
             [DependencyEdge("A", "B", weight=2), DependencyEdge("B", "A", weight=1)],
         )
-        assert graph.pair_outdegree("A", "B") == 2
-        assert graph.pair_outdegree("B", "A") == 1
-        assert graph.pair_degree("A", "B") == 3
-
-    def test_pair_degree_same_service_rejected(self, single_edge):
-        with pytest.raises(ValueError):
-            single_edge.pair_degree("A", "A")
+        assert pair_metrics(graph, "A", "B").outdegree == 2
+        assert pair_metrics(graph, "B", "A").outdegree == 1
+        assert pair_metrics(graph, "A", "B").degree == 3
 
     def test_pair_degree_unknown_service(self, single_edge):
         with pytest.raises(UnknownService):
-            single_edge.pair_degree("A", "Z")
+            pair_metrics(single_edge, "A", "Z")
 
     def test_node_degrees_on_demo(self, demo):
-        assert demo.node_indegree("A") == 4
-        assert demo.node_outdegree("A") == 1
+        rows = {row.id: row for row in service_table(demo)}
+        assert rows["A"].indegree == 4
+        assert rows["A"].outdegree == 1
         assert demo.node_degree("A") == 5
         assert demo.node_degree("B") == 1
-        assert demo.node_indegree("E") == 1
-        assert demo.node_outdegree("E") == 1
+        assert rows["E"].indegree == 1
+        assert rows["E"].outdegree == 1
         assert demo.node_degree("E") == 2
 
     def test_isolated_node_degrees(self):
         graph = ServiceGraph.build([ServiceNode("A")])
-        assert graph.node_indegree("A") == 0
-        assert graph.node_outdegree("A") == 0
+        (row,) = service_table(graph)
+        assert row.indegree == 0
+        assert row.outdegree == 0
         assert graph.node_degree("A") == 0
 
     def test_max_node_degree(self, demo, star4):
@@ -239,26 +243,26 @@ class TestGraphProperties:
     @given(service_graphs())
     def test_pair_degree_symmetric(self, graph):
         for s1, s2 in graph.connected_pairs():
-            assert graph.pair_degree(s1, s2) == graph.pair_degree(s2, s1)
+            assert pair_metrics(graph, s1, s2).degree == pair_metrics(graph, s2, s1).degree
 
     @given(service_graphs())
     def test_pair_degree_splits_into_directions(self, graph):
         for s1, s2 in graph.connected_pairs():
-            total = graph.pair_outdegree(s1, s2) + graph.pair_outdegree(s2, s1)
-            assert graph.pair_degree(s1, s2) == total
+            total = graph.providers(s1).get(s2, 0) + graph.providers(s2).get(s1, 0)
+            assert pair_metrics(graph, s1, s2).degree == total
 
     @given(service_graphs())
     def test_degree_flow_conservation(self, graph):
-        ids = graph.service_ids
-        out_total = sum(graph.node_outdegree(s) for s in ids)
-        in_total = sum(graph.node_indegree(s) for s in ids)
+        rows = service_table(graph)
+        out_total = sum(row.outdegree for row in rows)
+        in_total = sum(row.indegree for row in rows)
         assert out_total == in_total == sum(edge.weight for edge in graph.edges)
 
     @given(service_graphs())
     def test_node_degree_sums_pair_degrees(self, graph):
         for s in graph.service_ids:
             partner_total = sum(
-                graph.pair_degree(s, other)
+                graph.providers(s).get(other, 0) + graph.providers(other).get(s, 0)
                 for other in graph.service_ids
                 if other != s
             )

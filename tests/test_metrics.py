@@ -13,10 +13,7 @@ import oracles
 from mscoupling.errors import UnconnectedPair, UnknownService
 from mscoupling.graph import DependencyEdge, ServiceGraph, ServiceNode
 from mscoupling.metrics import (
-    ads,
-    ais,
     analyze,
-    cbm,
     pair_matrix,
     pair_metrics,
     project_summary,
@@ -28,6 +25,10 @@ from mscoupling.metrics import (
 from strategies import service_graphs
 
 APPROX = dict(rel=None, abs=1e-12)
+
+
+def service_rows(graph):
+    return {row.id: row for row in service_table(graph)}
 
 
 def bidirectional_pair():
@@ -94,6 +95,8 @@ class TestStructuralCoupling:
     def test_unconnected_pair_rejected(self, demo):
         with pytest.raises(UnconnectedPair):
             structural_coupling(demo, "B", "D")
+        with pytest.raises(UnconnectedPair):
+            structural_coupling(demo, "A", "A")
 
     def test_unknown_service_rejected(self, demo):
         with pytest.raises(UnknownService):
@@ -129,48 +132,50 @@ class TestPairMatrix:
 
 class TestServiceLevelMetrics:
     def test_cbm_demo(self, demo):
-        assert cbm(demo, "A") == pytest.approx(0.02, **APPROX)
-        assert cbm(demo, "B") == pytest.approx(0.1, **APPROX)
-        assert cbm(demo, "E") == pytest.approx(1 / 30, **APPROX)
+        rows = service_rows(demo)
+        assert rows["A"].cbm == pytest.approx(0.02, **APPROX)
+        assert rows["B"].cbm == pytest.approx(0.1, **APPROX)
+        assert rows["E"].cbm == pytest.approx(1 / 30, **APPROX)
 
     def test_cbm_without_class_count(self, star4):
-        assert cbm(star4, "hub") is None
+        assert service_rows(star4)["hub"].cbm is None
 
     def test_cbm_zero_class_count(self):
         graph = ServiceGraph.build(
             [ServiceNode("A", class_count=0), ServiceNode("B", class_count=4)],
             [DependencyEdge("A", "B")],
         )
-        assert cbm(graph, "A") is None
+        assert service_rows(graph)["A"].cbm is None
 
     def test_cbm_no_outgoing_calls(self):
         graph = ServiceGraph.build(
             [ServiceNode("A", class_count=4), ServiceNode("B", class_count=4)],
             [DependencyEdge("B", "A")],
         )
-        assert cbm(graph, "A") == 0.0
+        assert service_rows(graph)["A"].cbm == 0.0
 
     def test_cbm_counts_weight_not_edges(self):
         graph = ServiceGraph.build(
             [ServiceNode("A", class_count=10), ServiceNode("B")],
             [DependencyEdge("A", "B", weight=3)],
         )
-        assert cbm(graph, "A") == pytest.approx(0.3, **APPROX)
+        assert service_rows(graph)["A"].cbm == pytest.approx(0.3, **APPROX)
 
     def test_ais_ads_acs_star(self, star4):
-        assert ais(star4, "hub") == 4
-        assert ads(star4, "hub") == 0
+        rows = service_rows(star4)
+        assert rows["hub"].ais == 4
+        assert rows["hub"].ads == 0
         hub = service_table(star4)[0]
         assert (hub.id, hub.acs) == ("hub", 0)
-        assert ais(star4, "leaf1") == 0
-        assert ads(star4, "leaf1") == 1
+        assert rows["leaf1"].ais == 0
+        assert rows["leaf1"].ads == 1
 
     def test_ais_ignores_weight(self):
         graph = ServiceGraph.build(
             [ServiceNode("A"), ServiceNode("B")],
             [DependencyEdge("B", "A", weight=7)],
         )
-        assert ais(graph, "A") == 1
+        assert service_rows(graph)["A"].ais == 1
 
     def test_demo_service_row(self, demo):
         row = service_table(demo)[0]
@@ -268,7 +273,7 @@ class TestMetricProperties:
             forward = pair_metrics(graph, s1, s2).lwf
             backward = pair_metrics(graph, s2, s1).lwf
             assert 0.0 < forward <= 1.0
-            degree = graph.pair_degree(s1, s2)
+            degree = pair_metrics(graph, s1, s2).degree
             assert forward + backward == pytest.approx(
                 (degree + 2) / (degree + 1), **APPROX
             )
@@ -287,8 +292,8 @@ class TestMetricProperties:
                 continue
             forward = structural_coupling(graph, s1, s2)
             backward = structural_coupling(graph, s2, s1)
-            out_forward = graph.pair_outdegree(s1, s2)
-            out_backward = graph.pair_outdegree(s2, s1)
+            out_forward = pair_metrics(graph, s1, s2).outdegree
+            out_backward = pair_metrics(graph, s2, s1).outdegree
             if out_forward == out_backward:
                 assert forward == pytest.approx(backward, **APPROX)
             elif out_forward > out_backward:
@@ -304,9 +309,10 @@ class TestMetricProperties:
             assert structural_coupling(graph, s1, s2) == pytest.approx(
                 oracles.sc(raw, ids, s1, s2), **APPROX
             )
+        rows = service_rows(graph)
         for s in ids:
-            assert ais(graph, s) == oracles.ais(raw, s)
-            assert ads(graph, s) == oracles.ads(raw, s)
+            assert rows[s].ais == oracles.ais(raw, s)
+            assert rows[s].ads == oracles.ads(raw, s)
         for row in service_table(graph):
             assert row.acs == oracles.acs(raw, row.id)
         assert siy(graph) == oracles.siy(raw)
@@ -314,7 +320,7 @@ class TestMetricProperties:
     @given(service_graphs())
     def test_acs_is_product(self, graph):
         for row in service_table(graph):
-            assert row.acs == ais(graph, row.id) * ads(graph, row.id)
+            assert row.acs == row.ais * row.ads
 
     @given(service_graphs())
     def test_siy_bounded_by_connected_pairs(self, graph):

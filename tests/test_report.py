@@ -27,6 +27,17 @@ from mscoupling.report import (
 from strategies import service_graphs
 
 
+def classify_all(graph, options=RenderOptions()):
+    """Each service's class, from the analysis and the service's row as the emitters call it."""
+    analysis = analyze(graph)
+    return {row.id: classify(analysis, row, options) for row in analysis.services}
+
+
+def node_sizes(graph):
+    analysis = analyze(graph)
+    return {row.id: node_size(analysis, row) for row in analysis.services}
+
+
 def rows_by_first_column(text):
     reader = csv.DictReader(io.StringIO(text))
     key = reader.fieldnames[0]
@@ -61,28 +72,30 @@ class TestRenderOptions:
 
 class TestClassification:
     def test_demo_classes(self, demo):
-        assert classify(demo, "A") is ColorClass.HUB
-        assert classify(demo, "B") is ColorClass.HIGH_OUT
-        assert classify(demo, "E") is ColorClass.REGULAR
+        classes = classify_all(demo)
+        assert classes["A"] is ColorClass.HUB
+        assert classes["B"] is ColorClass.HIGH_OUT
+        assert classes["E"] is ColorClass.REGULAR
 
     def test_hub_wins_over_bridge(self, star4):
         assert "hub" in star4.articulation_services()
-        assert classify(star4, "hub") is ColorClass.HUB
+        assert classify_all(star4)["hub"] is ColorClass.HUB
 
     def test_bridge(self, chain3):
-        assert classify(chain3, "B") is ColorClass.BRIDGE
+        assert classify_all(chain3)["B"] is ColorClass.BRIDGE
 
     def test_high_out_leaf(self, star4):
-        assert classify(star4, "leaf1") is ColorClass.HIGH_OUT
+        assert classify_all(star4)["leaf1"] is ColorClass.HIGH_OUT
 
     def test_edgeless_nodes_are_regular(self):
         graph = ServiceGraph.build([ServiceNode("A")])
-        assert classify(graph, "A") is ColorClass.REGULAR
+        assert classify_all(graph)["A"] is ColorClass.REGULAR
 
     def test_thresholds_are_tunable(self, single_edge):
         generous = RenderOptions(hub_fraction=1.0, hub_min_degree=0)
-        assert classify(single_edge, "A", generous) is ColorClass.HUB
-        assert classify(single_edge, "B", generous) is ColorClass.HUB
+        classes = classify_all(single_edge, generous)
+        assert classes["A"] is ColorClass.HUB
+        assert classes["B"] is ColorClass.HUB
 
     def test_color_values(self):
         assert ColorClass.HUB.value == "green"
@@ -93,13 +106,14 @@ class TestClassification:
 
 class TestNodeSize:
     def test_scales_between_1x_and_3x(self, demo):
-        assert node_size(demo, "A") == pytest.approx(3.0)
-        assert node_size(demo, "B") == pytest.approx(1.4)
-        assert node_size(demo, "E") == pytest.approx(1.8)
+        sizes = node_sizes(demo)
+        assert sizes["A"] == pytest.approx(3.0)
+        assert sizes["B"] == pytest.approx(1.4)
+        assert sizes["E"] == pytest.approx(1.8)
 
     def test_edgeless_graph(self):
         graph = ServiceGraph.build([ServiceNode("A")])
-        assert node_size(graph, "A") == pytest.approx(1.0)
+        assert node_sizes(graph)["A"] == pytest.approx(1.0)
 
 
 class TestPairMatrixCsv:
