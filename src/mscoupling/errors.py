@@ -8,6 +8,12 @@ left as the builtin ``OSError`` family.
 from __future__ import annotations
 
 
+def _shown(value: object) -> str:
+    """``repr(value)`` cut to at most 80 characters, for echoing an input value in a message."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 class CouplingError(Exception):
     """Base class for all domain-level errors raised by this package."""
 

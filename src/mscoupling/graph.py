@@ -22,6 +22,7 @@ from .errors import (
     SelfDependency,
     UnknownService,
     ValidationError,
+    _shown,
 )
 
 ServiceId = str
@@ -32,15 +33,19 @@ MAX_WEIGHT = 2**53
 def _check_id(value: str, what: str = "service id") -> str:
     """Ids and project names are printable text without ``,`` or ``"``: CSV, DOT and SVG carry them raw."""
     if not isinstance(value, str) or not value:
-        raise ValidationError(f"{what} must be a non-empty string, got {value!r}")
+        raise ValidationError(f"{what} must be a non-empty string, got {_shown(value)}")
     if "," in value or '"' in value or not value.isprintable():
         ch = next(ch for ch in value if ch in ',"' or not ch.isprintable())
-        raise ValidationError(f"{what} {value!r} contains forbidden character {ch!r}")
+        raise ValidationError(f"{what} {_shown(value)} contains forbidden character {_shown(ch)}")
     return value
 
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _endpoints(edge: DependencyEdge) -> str:
+    return f"{_shown(edge.source)}->{_shown(edge.target)}"
 
 
 class EdgeKind(str, Enum):
@@ -69,7 +74,7 @@ class ServiceNode:
             value = getattr(self, field_name)
             if value is not None and (not _is_int(value) or value < 0):
                 raise ValidationError(
-                    f"service {self.id!r}: {field_name} must be a non-negative integer, got {value!r}"
+                    f"service {_shown(self.id)}: {field_name} must be a non-negative integer, got {_shown(value)}"
                 )
 
 
@@ -86,57 +91,64 @@ class DependencyEdge:
         _check_id(self.source)
         _check_id(self.target)
         if self.source == self.target:
-            raise SelfDependency(f"service {self.source!r} cannot depend on itself")
+            raise SelfDependency(f"service {_shown(self.source)} cannot depend on itself")
         if not _is_int(self.weight) or self.weight < 1:
             raise ValidationError(
-                f"edge {self.source!r}->{self.target!r}: weight must be a positive integer, got {self.weight!r}"
+                f"edge {_endpoints(self)}: weight must be a positive integer, got {_shown(self.weight)}"
             )
         if self.weight > MAX_WEIGHT:
-            raise ValidationError(f"edge {self.source!r}->{self.target!r}: weight must be at most 2**53")
+            raise ValidationError(f"edge {_endpoints(self)}: weight must be at most 2**53")
         if not isinstance(self.kind, EdgeKind):
             try:
                 object.__setattr__(self, "kind", EdgeKind(self.kind))
             except ValueError:
-                raise ValidationError(
-                    f"edge {self.source!r}->{self.target!r}: unknown kind {self.kind!r}"
-                ) from None
+                raise ValidationError(f"edge {_endpoints(self)}: unknown kind {_shown(self.kind)}") from None
 
 
 @dataclass(frozen=True)
 class ServiceGraph:
     """Immutable directed multigraph of services.
 
-    Nodes and edges are stored in canonical (lexicographic) order and
-    edge records sharing a (source, target, kind) triple are merged by
-    weight summation, so two graphs built from the same dependencies in
-    any order compare equal.
+    The constructor owns the graph rules, checked in input order with the
+    record's position (``service #i``/``edge #i``) in each error: unique
+    ids, declared endpoints, and weight summation of records sharing a
+    (source, target, kind) triple.  Nodes and edges are stored sorted.
     """
 
     nodes: tuple[ServiceNode, ...] = ()
     edges: tuple[DependencyEdge, ...] = ()
 
     def __post_init__(self):
-        nodes = tuple(sorted(self.nodes, key=lambda n: n.id))
-        seen: set[str] = set()
-        for node in nodes:
-            if node.id in seen:
-                raise DuplicateService(f"service {node.id!r} declared twice")
-            seen.add(node.id)
+        by_id: dict[ServiceId, ServiceNode] = {}
+        for position, node in enumerate(self.nodes):
+            if node.id in by_id:
+                raise DuplicateService(f"service #{position}: service {_shown(node.id)} declared twice")
+            by_id[node.id] = node
+        ids = sorted(by_id)
+        out: dict[ServiceId, dict[ServiceId, int]] = {service: {} for service in ids}
+        in_: dict[ServiceId, dict[ServiceId, int]] = {service: {} for service in ids}
         merged: dict[tuple[str, str, EdgeKind], int] = {}
-        for edge in self.edges:
-            if edge.source not in seen or edge.target not in seen:
-                missing = edge.source if edge.source not in seen else edge.target
-                raise UnknownService(f"edge {edge.source!r}->{edge.target!r} references undeclared service {missing!r}")
+        for position, edge in enumerate(self.edges):
+            for service in (edge.source, edge.target):
+                if service not in by_id:
+                    raise UnknownService(
+                        f"edge #{position} {_endpoints(edge)} references undeclared service {_shown(service)}"
+                    )
             key = (edge.source, edge.target, edge.kind)
             merged[key] = merged.get(key, 0) + edge.weight
+            providers, clients = out[edge.source], in_[edge.target]
+            providers[edge.target] = providers.get(edge.target, 0) + edge.weight
+            clients[edge.source] = clients.get(edge.source, 0) + edge.weight
+        object.__setattr__(self, "nodes", tuple(by_id[service] for service in ids))
+        # EdgeKind is a str enum, so the keys sort by (source, target, kind value).
         edges = tuple(
-            DependencyEdge(source, target, weight, kind)
-            for (source, target, kind), weight in sorted(
-                merged.items(), key=lambda item: (item[0][0], item[0][1], item[0][2].value)
-            )
+            DependencyEdge(source, target, weight, kind) for (source, target, kind), weight in sorted(merged.items())
         )
-        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_by_id", by_id)
+        # Per service, kinds merged: total weight to each provider (_out) and from each client (_in).
+        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_in", in_)
 
     # -- construction -----------------------------------------------------
 
@@ -150,27 +162,6 @@ class ServiceGraph:
 
     # -- lookup -----------------------------------------------------------
 
-    @cached_property
-    def _by_id(self) -> dict[str, ServiceNode]:
-        return {node.id: node for node in self.nodes}
-
-    def _weight_map(self, forward: bool) -> dict[str, dict[str, int]]:
-        table: dict[str, dict[str, int]] = {node.id: {} for node in self.nodes}
-        for edge in self.edges:
-            a, b = (edge.source, edge.target) if forward else (edge.target, edge.source)
-            table[a][b] = table[a].get(b, 0) + edge.weight
-        return table
-
-    @cached_property
-    def _out(self) -> dict[str, dict[str, int]]:
-        """Per service: total weight to each of its providers, kinds merged."""
-        return self._weight_map(forward=True)
-
-    @cached_property
-    def _in(self) -> dict[str, dict[str, int]]:
-        """Per service: total weight from each of its clients, kinds merged."""
-        return self._weight_map(forward=False)
-
     @property
     def service_ids(self) -> tuple[ServiceId, ...]:
         return tuple(node.id for node in self.nodes)
@@ -181,7 +172,7 @@ class ServiceGraph:
 
     def _require(self, service: ServiceId) -> None:
         if service not in self._by_id:
-            raise UnknownService(f"unknown service {service!r}")
+            raise UnknownService(f"unknown service {_shown(service)}")
 
     # -- degrees ----------------------------------------------------------
 

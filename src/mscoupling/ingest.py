@@ -7,7 +7,7 @@ Three input formats are supported:
 * a bare edge CSV (``source,target[,weight[,kind]]``) whose services
   are auto-declared from the endpoints,
 * a docker-compose document, where every ``depends_on`` / ``links``
-  entry becomes a weight-1 dependency hint.
+  entry becomes a weight-1 dependency record.
 
 ``load_corpus`` discovers one descriptor per immediate subdirectory of
 a corpus root so whole project collections can be analyzed in a batch.
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import CouplingError, ParseError, ValidationError
+from .errors import CouplingError, ParseError, ValidationError, _shown
 from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode, _check_id
 
 logger = logging.getLogger(__name__)
@@ -34,6 +34,15 @@ SOURCE_SUFFIX = ".java"
 
 FORMATS = ("auto", "descriptor", "edges", "compose")
 _SUFFIX_FORMATS = {".json": "descriptor", ".csv": "edges", ".yml": "compose", ".yaml": "compose"}
+
+
+class _TextLoader(yaml.SafeLoader):
+    """Plain scalars stay text (``no``, ``010``, ``1.10``); only ``<<`` and the empty scalar (null) keep a type."""
+
+    yaml_implicit_resolvers = {
+        first: [(tag, regexp) for tag, regexp in resolvers if tag == "tag:yaml.org,2002:merge" or first == ""]
+        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -55,11 +64,11 @@ class ProjectDescriptor:
 
 
 def parse_project_descriptor(text: str) -> ProjectDescriptor:
-    """Parse and validate the canonical JSON descriptor format.
+    """Parse the canonical JSON descriptor format into records.
 
-    Unknown fields are ignored with a warning; structural problems
-    (duplicate ids, edges naming undeclared services, bad weights)
-    raise :class:`ValidationError` naming the offender.
+    Unknown fields are ignored with a warning; a malformed record raises
+    :class:`ValidationError` naming its position.  The graph rules
+    (unique ids, declared endpoints) are checked by :class:`ServiceGraph`.
     """
     try:
         document = json.loads(text)
@@ -70,15 +79,11 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
     if not isinstance(document, dict):
         raise ParseError("descriptor must be a JSON object")
 
-    known_top = {"name", "services", "edges"}
-    unknown = sorted(set(document) - known_top)
+    unknown = sorted(set(document) - {"name", "services", "edges"})
     if unknown:
         logger.warning("descriptor: ignoring unknown fields %s", ", ".join(unknown))
 
-    name = _check_id(document.get("name"), "project name")
-
     services: list[ServiceNode] = []
-    seen_ids: set[str] = set()
     source_dirs: dict[str, str] = {}
     raw_services = document.get("services", [])
     if not isinstance(raw_services, list):
@@ -93,9 +98,6 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
             node = ServiceNode(raw.get("id"), raw.get("classes"), raw.get("loc"))
         except CouplingError as exc:
             raise ValidationError(f"service #{position}: {exc}") from None
-        if node.id in seen_ids:
-            raise ValidationError(f"service #{position}: duplicate service id {node.id!r}")
-        seen_ids.add(node.id)
         source_dir = raw.get("source_dir")
         if source_dir is not None:
             if not isinstance(source_dir, str):
@@ -119,12 +121,9 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
             )
         except CouplingError as exc:
             raise ValidationError(f"edge #{position}: {exc}") from None
-        for endpoint in (edge.source, edge.target):
-            if endpoint not in seen_ids:
-                raise ValidationError(f"edge #{position} references undeclared service {endpoint!r}")
         edges.append(edge)
 
-    return ProjectDescriptor(name, tuple(services), tuple(edges), source_dirs)
+    return ProjectDescriptor(document.get("name"), tuple(services), tuple(edges), source_dirs)
 
 
 def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
@@ -145,7 +144,7 @@ def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
             expected = ["source", "target", "weight", "kind"][: len(header)]
             if len(header) < 2 or len(header) > 4 or header != expected:
                 raise ParseError(
-                    f"header must be source,target[,weight[,kind]], got {','.join(cells)}",
+                    f"header must be source,target[,weight[,kind]], got {_shown(','.join(cells))}",
                     line=reader.line_num,
                 )
             continue
@@ -158,7 +157,7 @@ def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
             try:
                 weight = int(cells[2])
             except ValueError:
-                raise ParseError(f"weight {cells[2]!r} is not an integer", line=reader.line_num) from None
+                raise ParseError(f"weight {_shown(cells[2])} is not an integer", line=reader.line_num) from None
         kind = cells[3] if len(cells) >= 4 and cells[3] else EdgeKind.CALL
         try:
             edges.append(DependencyEdge(cells[0], cells[1], weight, kind))
@@ -183,7 +182,7 @@ def _csv_records(reader):
 def _compose_entry(service: str, entry: object) -> str:
     """A depends_on/links entry as a service name; nested entries are never printed."""
     if isinstance(entry, (dict, list)):
-        raise ParseError(f"service {service!r}: depends_on and links entries must be service names")
+        raise ParseError(f"service {_shown(service)}: depends_on and links entries must be service names")
     return str(entry)
 
 
@@ -191,12 +190,11 @@ def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
     """Extract a service topology from a docker-compose document.
 
     Every ``depends_on`` (list or mapping form) and ``links`` entry
-    becomes a weight-1 dependency hint of kind ``compose``; repeated
-    hints between the same pair merge by weight summation, and
-    self-references are dropped with a warning.
+    becomes one weight-1 dependency record of kind ``compose``; service
+    names stay text and self-references are dropped with a warning.
     """
     try:
-        document = yaml.safe_load(text)
+        document = yaml.load(text, Loader=_TextLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ParseError(
@@ -212,47 +210,33 @@ def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
         raise ParseError("'services' must be a mapping")
 
     services: list[ServiceNode] = []
-    for position, service in enumerate(raw_services):
-        try:
-            services.append(ServiceNode(str(service)))
-        except CouplingError as exc:
-            raise ValidationError(f"service #{position}: {exc}") from None
-    declared = {node.id for node in services}
-    hints: dict[tuple[str, str], int] = {}
-    for service, config in raw_services.items():
+    edges: list[DependencyEdge] = []
+    for position, (service, config) in enumerate(raw_services.items()):
         service = str(service)
         if config is None:
             config = {}
         if not isinstance(config, dict):
-            raise ParseError(f"service {service!r} entry must be a mapping")
+            raise ParseError(f"service {_shown(service)} entry must be a mapping")
         depends_on = config.get("depends_on", [])
         if not isinstance(depends_on, (dict, list)):
-            raise ParseError(f"service {service!r}: depends_on must be a list or mapping")
+            raise ParseError(f"service {_shown(service)}: depends_on must be a list or mapping")
         links = config.get("links", [])
         if not isinstance(links, list):
-            raise ParseError(f"service {service!r}: links must be a list")
+            raise ParseError(f"service {_shown(service)}: links must be a list")
         targets = [_compose_entry(service, dep) for dep in depends_on]
         # links entries may carry an alias suffix: "db:database"
         targets.extend(_compose_entry(service, link).split(":", 1)[0] for link in links)
-        for target in targets:
-            if target == service:
-                logger.warning("compose: dropping self-dependency of %r", service)
-                continue
-            if target not in declared:
-                raise ValidationError(
-                    f"service {service!r} depends on undeclared service {target!r}"
-                )
-            key = (service, target)
-            hints[key] = hints.get(key, 0) + 1
+        try:
+            services.append(ServiceNode(service))
+            for target in targets:
+                if target == service:
+                    logger.warning("compose: dropping self-dependency of %s", _shown(service))
+                    continue
+                edges.append(DependencyEdge(service, target, 1, EdgeKind.COMPOSE))
+        except CouplingError as exc:
+            raise ValidationError(f"service #{position}: {exc}") from None
 
-    return ProjectDescriptor(
-        name=name,
-        services=tuple(services),
-        edges=tuple(
-            DependencyEdge(source, target, weight, EdgeKind.COMPOSE)
-            for (source, target), weight in hints.items()
-        ),
-    )
+    return ProjectDescriptor(name, tuple(services), tuple(edges))
 
 
 def count_source_units(directory: Path) -> int:
@@ -292,13 +276,13 @@ def load_project(path: Path, fmt: str = "auto") -> tuple[ServiceGraph, ProjectDe
     """
     path = Path(path)
     if fmt not in FORMATS:
-        raise ValidationError(f"unknown input format {fmt!r}")
+        raise ValidationError(f"unknown input format {_shown(fmt)}")
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
     if fmt == "auto":
         fmt = _SUFFIX_FORMATS.get(path.suffix.lower())
         if fmt is None:
-            raise ValidationError(f"cannot infer input format from {path.name!r}; pass one explicitly")
+            raise ValidationError(f"cannot infer input format from {_shown(path.name)}; pass one explicitly")
     try:
         text = path.read_bytes().decode("utf-8-sig")
         if fmt == "descriptor":

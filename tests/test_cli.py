@@ -254,6 +254,36 @@ class TestAnalyze:
         assert "0" * 20 not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "filename, text, position",
+        [
+            ("deps.csv", "source,target,weight\nA,B," + "1" * 5000 + "\n", "line 2"),
+            (
+                "project.json",
+                '{"name": "big", "services": [{"id": "A"}, {"id": "B"}],'
+                ' "edges": [{"source": "A", "target": "B", "weight": -1' + "0" * 400 + "}]}",
+                "edge #0",
+            ),
+            ("deps.csv", "source,target,weight,kind\nA,B,1," + "k" * 20000 + "\n", "line 2"),
+            ("deps.csv", "x" * 30000 + "\nA,B\n", "line 1"),
+            ("project.json", '{"name": "x", "services": [{"id": "' + "a," * 10000 + '"}]}', "service #0"),
+            (
+                "project.json",
+                '{"name": "x", "services": [{"id": "A"}], "edges": [{"source": "A", "target": "' + "b" * 20000 + '"}]}',
+                "edge #0",
+            ),
+        ],
+        ids=["csv-weight-digits", "descriptor-huge-weight", "csv-long-kind", "csv-long-header", "long-bad-id",
+             "long-undeclared-id"],
+    )
+    def test_error_message_bounds_echoed_values(self, tmp_path, filename, text, position, capsys):
+        source = tmp_path / filename
+        source.write_text(text)
+        assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.encode("utf-8")) <= 300
+        assert position in err
+
     def test_stray_quote_in_large_edge_csv_exits_1(self, tmp_path, capsys):
         source = tmp_path / "deps.csv"
         rows = "".join(f"svc-{i},svc-{i + 1}\n" for i in range(20000))

@@ -103,12 +103,14 @@ class TestGraphConstruction:
         assert graph.edges == ()
 
     def test_build_duplicate_nodes_rejected(self):
-        with pytest.raises(DuplicateService):
+        with pytest.raises(DuplicateService, match=r"^service #1: service 'A' declared twice$"):
             ServiceGraph.build([ServiceNode("A"), ServiceNode("A")])
 
     def test_build_unknown_endpoint_rejected(self):
-        with pytest.raises(UnknownService):
-            ServiceGraph.build([ServiceNode("A")], [DependencyEdge("A", "B")])
+        with pytest.raises(UnknownService, match=r"^edge #1 'A'->'C' references undeclared service 'C'$"):
+            ServiceGraph.build(
+                [ServiceNode("A"), ServiceNode("B")], [DependencyEdge("A", "B"), DependencyEdge("A", "C")]
+            )
 
     def test_parallel_edges_merge_by_weight(self):
         graph = ServiceGraph.build(

@@ -7,7 +7,7 @@ import logging
 
 import pytest
 
-from mscoupling.errors import ParseError, ValidationError
+from mscoupling.errors import DuplicateService, ParseError, UnknownService, ValidationError
 from mscoupling.graph import DependencyEdge, EdgeKind, ServiceNode
 from mscoupling.ingest import (
     ProjectDescriptor,
@@ -78,18 +78,18 @@ class TestDescriptorParsing:
             parse_project_descriptor(text)
 
     def test_duplicate_service_id(self):
-        with pytest.raises(ValidationError) as excinfo:
-            parse_project_descriptor(
-                '{"name": "x", "services": [{"id": "a"}, {"id": "a"}]}'
-            )
-        assert "'a'" in str(excinfo.value)
+        descriptor = parse_project_descriptor('{"name": "x", "services": [{"id": "a"}, {"id": "a"}]}')
+        with pytest.raises(DuplicateService) as excinfo:
+            build_graph(descriptor)
+        assert "service #1" in str(excinfo.value) and "'a'" in str(excinfo.value)
 
     def test_edge_to_undeclared_service(self):
-        with pytest.raises(ValidationError) as excinfo:
-            parse_project_descriptor(
-                '{"name": "x", "services": [{"id": "a"}],'
-                ' "edges": [{"source": "a", "target": "ghost"}]}'
-            )
+        descriptor = parse_project_descriptor(
+            '{"name": "x", "services": [{"id": "a"}],'
+            ' "edges": [{"source": "a", "target": "ghost"}]}'
+        )
+        with pytest.raises(UnknownService) as excinfo:
+            build_graph(descriptor)
         assert "ghost" in str(excinfo.value)
 
     @pytest.mark.parametrize("weight", ["0", "-2", "true", '"3"'])
@@ -224,7 +224,8 @@ class TestComposeParsing:
             "    links: [db]\n"
             "  db: {}\n"
         )
-        assert descriptor.edges == (DependencyEdge("web", "db", 2, EdgeKind.COMPOSE),)
+        assert descriptor.edges == (DependencyEdge("web", "db", 1, EdgeKind.COMPOSE),) * 2
+        assert build_graph(descriptor).edges == (DependencyEdge("web", "db", 2, EdgeKind.COMPOSE),)
 
     def test_bare_service_entry(self):
         descriptor = parse_compose("services:\n  web:\n  db:\n")
@@ -238,9 +239,32 @@ class TestComposeParsing:
         assert "self-dependency" in caplog.text
 
     def test_undeclared_dependency_rejected(self):
+        descriptor = parse_compose("services:\n  web:\n    depends_on: [ghost]\n")
+        with pytest.raises(UnknownService) as excinfo:
+            build_graph(descriptor)
+        assert "'web'->'ghost'" in str(excinfo.value)
+
+    def test_bad_dependency_names_its_service(self):
         with pytest.raises(ValidationError) as excinfo:
-            parse_compose("services:\n  web:\n    depends_on: [ghost]\n")
-        assert "ghost" in str(excinfo.value)
+            parse_compose('services:\n  web:\n    depends_on: ["a,b"]\n')
+        assert "service #0" in str(excinfo.value) and "forbidden character" in str(excinfo.value)
+
+    def test_plain_scalar_names_stay_text(self):
+        descriptor = parse_compose(
+            "x-common: &common\n"
+            "  depends_on: [db]\n"
+            "services:\n"
+            "  no:\n"
+            "    <<: *common\n"
+            "  010:\n"
+            "    depends_on: [no, 1.10]\n"
+            "  1.10:\n"
+            "  db:\n"
+        )
+        assert [node.id for node in descriptor.services] == ["no", "010", "1.10", "db"]
+        assert build_graph(descriptor).connected_pairs() == (
+            ("010", "1.10"), ("010", "no"), ("1.10", "010"), ("db", "no"), ("no", "010"), ("no", "db"),
+        )
 
     def test_bad_service_id_names_its_position(self):
         with pytest.raises(ValidationError) as excinfo:

@@ -301,6 +301,18 @@ class TestMetricProperties:
             else:
                 assert forward > backward
 
+    @given(service_graphs(min_nodes=2, max_edges=40))
+    def test_sc_is_one_minus_lwf_over_max_degree(self, graph):
+        # gwf = degree / max degree, so the pair's own degree cancels: SC ranks pairs exactly as LWF does.
+        rows = analyze(graph).pairs
+        max_degree = graph.max_node_degree()
+        for row in rows:
+            assert abs(row.sc - (1 - row.lwf / max_degree)) <= 2 * math.ulp(row.sc)
+        for p in rows:
+            for q in rows:
+                if p.lwf < q.lwf:
+                    assert p.sc >= q.sc
+
     @given(service_graphs())
     def test_matches_brute_force(self, graph):
         raw = [(e.source, e.target, e.weight) for e in graph.edges]
