@@ -49,7 +49,6 @@ OUTPUT_NAMES = (
 
 @dataclass(frozen=True)
 class CliConfig:
-    command: str
     input_path: Path | None
     out_dir: Path
     emit: tuple[str, ...]
@@ -79,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--decimal-places", type=int, default=2, metavar="N")
     common.add_argument("--hub-fraction", type=float, default=0.6, metavar="F")
     common.add_argument("--hub-min-degree", type=int, default=3, metavar="N")
+    common.set_defaults(input=None, fmt="auto", jobs=1)
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", dest="fmt", choices=FORMATS, default="auto")
@@ -86,12 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     analyze = sub.add_parser("analyze", parents=[common, fmt], help="analyze one project")
     analyze.add_argument("input", type=Path)
+    analyze.set_defaults(run=cmd_analyze)
     corpus = sub.add_parser("corpus", parents=[common], help="analyze every project under a corpus root")
-    corpus.add_argument("root", type=Path)
+    corpus.add_argument("input", type=Path, metavar="root")
     corpus.add_argument("--jobs", type=int, default=1, metavar="N", help="projects to process in parallel")
-    sub.add_parser("example", parents=[common], help="analyze the built-in demo system")
+    corpus.set_defaults(run=cmd_corpus)
+    example = sub.add_parser("example", parents=[common], help="analyze the built-in demo system")
+    example.set_defaults(run=cmd_example)
     render = sub.add_parser("render", parents=[common, fmt], help="emit only the DOT/SVG drawings")
     render.add_argument("input", type=Path)
+    render.set_defaults(run=cmd_render)
     return parser
 
 
@@ -101,20 +105,15 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         hub_min_degree=args.hub_min_degree,
         decimal_places=args.decimal_places,
     )
-    input_path = getattr(args, "input", None)
-    if args.command == "corpus":
-        input_path = args.root
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
+    if args.jobs < 1:
         raise ValidationError("--jobs must be at least 1")
     return CliConfig(
-        command=args.command,
-        input_path=input_path,
+        input_path=args.input,
         out_dir=args.out,
         emit=_parse_emit(args.emit),
-        fmt=getattr(args, "fmt", "auto"),
+        fmt=args.fmt,
         options=options,
-        jobs=jobs,
+        jobs=args.jobs,
     )
 
 
@@ -140,9 +139,8 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> None:
 
 
 def _summary_line(graph: ServiceGraph, summary: ProjectSummary, options: RenderOptions) -> str:
-    places = options.decimal_places
-    sc_max = f"{summary.sc.max:.{places}f}" if summary.sc.count else "-"
-    sc_avg = f"{summary.sc.avg:.{places}f}" if summary.sc.count else "-"
+    sc_max = report._fmt(summary.sc.max, options.decimal_places) or "-"
+    sc_avg = report._fmt(summary.sc.avg, options.decimal_places) or "-"
     return (
         f"{summary.project_name}: services={len(graph.nodes)} edges={len(graph.edges)} "
         f"siy={summary.siy} sc_max={sc_max} sc_avg={sc_avg}"
@@ -205,14 +203,14 @@ def cmd_render(config: CliConfig) -> int:
 
 
 def _process_corpus_project(descriptor_path: Path, config: CliConfig):
-    """Analyze one corpus project; returns (dir_name, name, summary, line, error)."""
+    """Analyze one corpus project; returns (dir_name, summary, line, error)."""
     dir_name = descriptor_path.parent.name
     try:
         graph, descriptor = load_project(descriptor_path, "descriptor")
         summary, line = _analyze_graph(graph, descriptor.name, replace(config, out_dir=config.out_dir / dir_name))
-        return dir_name, descriptor.name, summary, line, None
+        return dir_name, summary, line, None
     except (CouplingError, OSError) as exc:
-        return dir_name, None, None, None, str(exc)
+        return dir_name, None, None, str(exc)
 
 
 def cmd_corpus(config: CliConfig) -> int:
@@ -220,19 +218,18 @@ def cmd_corpus(config: CliConfig) -> int:
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
         results = list(pool.map(lambda path: _process_corpus_project(path, config), projects))
 
-    results.sort(key=lambda item: item[0])
     failures: list[tuple[str, str]] = []
     summaries: list[ProjectSummary] = []
     lines: list[str] = []
     seen_names: set[str] = set()
-    for dir_name, name, summary, line, error in results:
-        if error is None and name in seen_names:
-            error = f"duplicate project name {name!r}"
+    for dir_name, summary, line, error in results:
+        if error is None and summary.project_name in seen_names:
+            error = f"duplicate project name {summary.project_name!r}"
         if error is not None:
             failures.append((dir_name, error))
             _remove_outputs(config.out_dir / dir_name)
             continue
-        seen_names.add(name)
+        seen_names.add(summary.project_name)
         summaries.append(summary)
         lines.append(line)
 
@@ -249,14 +246,6 @@ def cmd_corpus(config: CliConfig) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "corpus": cmd_corpus,
-    "example": cmd_example,
-    "render": cmd_render,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -264,8 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        return args.run(_config_from_args(args))
     except CouplingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

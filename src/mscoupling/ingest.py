@@ -81,7 +81,7 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
 
     unknown = sorted(set(document) - {"name", "services", "edges"})
     if unknown:
-        logger.warning("descriptor: ignoring unknown fields %s", ", ".join(unknown))
+        logger.warning("descriptor: ignoring unknown fields %s", _shown(", ".join(unknown)))
 
     services: list[ServiceNode] = []
     source_dirs: dict[str, str] = {}
@@ -93,7 +93,7 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
             raise ValidationError(f"service #{position} must be an object")
         unknown = sorted(set(raw) - {"id", "classes", "loc", "source_dir"})
         if unknown:
-            logger.warning("service #%d: ignoring unknown fields %s", position, ", ".join(unknown))
+            logger.warning("service #%d: ignoring unknown fields %s", position, _shown(", ".join(unknown)))
         try:
             node = ServiceNode(raw.get("id"), raw.get("classes"), raw.get("loc"))
         except CouplingError as exc:
@@ -114,7 +114,7 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
             raise ValidationError(f"edge #{position} must be an object")
         unknown = sorted(set(raw) - {"source", "target", "weight", "kind"})
         if unknown:
-            logger.warning("edge #%d: ignoring unknown fields %s", position, ", ".join(unknown))
+            logger.warning("edge #%d: ignoring unknown fields %s", position, _shown(", ".join(unknown)))
         try:
             edge = DependencyEdge(
                 raw.get("source"), raw.get("target"), raw.get("weight", 1), raw.get("kind", EdgeKind.CALL)
@@ -180,8 +180,8 @@ def _csv_records(reader):
 
 
 def _compose_entry(service: str, entry: object) -> str:
-    """A depends_on/links entry as a service name; nested entries are never printed."""
-    if isinstance(entry, (dict, list)):
+    """A depends_on/links entry as a service name; empty and nested entries are never printed."""
+    if entry is None or isinstance(entry, (dict, list)):
         raise ParseError(f"service {_shown(service)}: depends_on and links entries must be service names")
     return str(entry)
 

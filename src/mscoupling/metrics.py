@@ -64,7 +64,6 @@ class ServiceMetrics:
 class StatSummary:
     """Descriptive statistics of one metric; all stats absent when empty."""
 
-    metric_name: str
     count: int
     max: float | None = None
     avg: float | None = None
@@ -169,7 +168,7 @@ def analyze(graph: ServiceGraph) -> Analysis:
     return Analysis(graph, pair_matrix(graph), service_table(graph))
 
 
-def summarize(values: Iterable[float], metric_name: str) -> StatSummary:
+def summarize(values: Iterable[float]) -> StatSummary:
     """Max/avg/median/stdev/total over the values.
 
     The median of an even-length sample is the mean of the two middle
@@ -179,10 +178,9 @@ def summarize(values: Iterable[float], metric_name: str) -> StatSummary:
     """
     data: Sequence[float] = [float(v) for v in values]
     if not data:
-        return StatSummary(metric_name=metric_name, count=0)
+        return StatSummary(count=0)
     total = sum(data)
     return StatSummary(
-        metric_name=metric_name,
         count=len(data),
         max=max(data),
         avg=total / len(data),
@@ -198,10 +196,10 @@ def project_summary(analysis: Analysis, project_name: str) -> ProjectSummary:
     cbm_values = [m.cbm for m in analysis.services if m.cbm is not None]
     return ProjectSummary(
         project_name=project_name,
-        degree=summarize((p.degree for p in pairs), "degree"),
-        lwf=summarize((p.lwf for p in pairs), "lwf"),
-        gwf=summarize((p.gwf for p in pairs), "gwf"),
-        sc=summarize((p.sc for p in pairs), "sc"),
-        cbm=summarize(cbm_values, "cbm"),
+        degree=summarize(p.degree for p in pairs),
+        lwf=summarize(p.lwf for p in pairs),
+        gwf=summarize(p.gwf for p in pairs),
+        sc=summarize(p.sc for p in pairs),
+        cbm=summarize(cbm_values),
         siy=siy(analysis.graph),
     )

@@ -5,7 +5,7 @@ no metric itself.  The text is deterministic: services appear in
 lexicographic order, numbers are fixed-point, and equal inputs produce
 byte-identical CSV/DOT/SVG output.  Counts (degrees, AIS/ADS/ACS, SIY)
 are printed as plain integers; real-valued metrics (LWF/GWF/SC/CBM and
-all summary statistics) use ``decimal_places`` digits.
+all summary statistics) use ``decimal_places`` digits; undefined is blank.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from operator import attrgetter
 
 from .errors import EmptyGraph, ValidationError
 from .graph import ServiceId
-from .metrics import Analysis, ProjectSummary, ServiceMetrics, StatSummary
+from .metrics import Analysis, ProjectSummary, ServiceMetrics
 
 PAIR_METRICS = ("degree", "lwf", "gwf", "sc")
 
@@ -74,8 +74,11 @@ def node_size(analysis: Analysis, row: ServiceMetrics) -> float:
     return 1 + 2 * (row.degree / max_degree if max_degree else 0.0)
 
 
-def _fmt(value: float, decimal_places: int) -> str:
-    return f"{value:.{decimal_places}f}"
+def _fmt(value: float | int | None, decimal_places: int) -> str:
+    """The one printing rule: real values fixed-point, counts as is, undefined blank."""
+    if isinstance(value, float):
+        return f"{value:.{decimal_places}f}"
+    return "" if value is None else str(value)
 
 
 def _dot_id(service: ServiceId) -> str:
@@ -94,31 +97,19 @@ def emit_pair_matrix_csv(analysis: Analysis, metric: str, options: RenderOptions
     for row in services:
         cells = [""] * len(services)
         for pair in row_pairs.get(row, ()):
-            value = getattr(pair, metric)
-            cells[column[pair.s2]] = str(value) if metric == "degree" else _fmt(value, options.decimal_places)
+            cells[column[pair.s2]] = _fmt(getattr(pair, metric), options.decimal_places)
         lines.append(row + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def emit_service_metrics_csv(analysis: Analysis, options: RenderOptions = RenderOptions()) -> str:
     """Per-service degree/size/coupling table, one row per service."""
+    places = options.decimal_places
     lines = ["service,in_degree,out_degree,degree,classes,loc,cbm,ais,ads,acs"]
     for row, node in zip(analysis.services, analysis.graph.nodes, strict=True):
         lines.append(
-            ",".join(
-                [
-                    row.id,
-                    str(row.indegree),
-                    str(row.outdegree),
-                    str(row.degree),
-                    "" if row.class_count is None else str(row.class_count),
-                    "" if node.loc is None else str(node.loc),
-                    "" if row.cbm is None else _fmt(row.cbm, options.decimal_places),
-                    str(row.ais),
-                    str(row.ads),
-                    str(row.acs),
-                ]
-            )
+            f"{row.id},{row.indegree},{row.outdegree},{row.degree},{_fmt(row.class_count, places)},"
+            f"{_fmt(node.loc, places)},{_fmt(row.cbm, places)},{row.ais},{row.ads},{row.acs}"
         )
     return "\n".join(lines) + "\n"
 
@@ -128,26 +119,18 @@ _SUMMARY_STATS = ("max", "avg", "median", "stdev", "total")
 _STAT_HEADERS = ("max", "avg", "med", "stdev", "tot")
 
 
-def _summary_cells(summary: StatSummary, decimal_places: int) -> list[str]:
-    if summary.count == 0:
-        return [""] * len(_SUMMARY_STATS)
-    return [_fmt(getattr(summary, stat), decimal_places) for stat in _SUMMARY_STATS]
-
-
 def emit_summary_csv(
     summaries: list[ProjectSummary] | tuple[ProjectSummary, ...],
     options: RenderOptions = RenderOptions(),
 ) -> str:
     """One row per project with max/avg/med/stdev/tot per metric plus SIY."""
-    header = ["project"]
-    for group in _SUMMARY_GROUPS:
-        header.extend(f"{group}_{stat}" for stat in _STAT_HEADERS)
-    header.append("siy")
-    lines = [",".join(header)]
+    header = [f"{group}_{stat}" for group in _SUMMARY_GROUPS for stat in _STAT_HEADERS]
+    lines = [",".join(["project", *header, "siy"])]
     for summary in summaries:
         cells = [summary.project_name]
         for group in _SUMMARY_GROUPS:
-            cells.extend(_summary_cells(getattr(summary, group), options.decimal_places))
+            stats = getattr(summary, group)
+            cells.extend(_fmt(getattr(stats, stat), options.decimal_places) for stat in _SUMMARY_STATS)
         cells.append(str(summary.siy))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -25,8 +25,17 @@ from mscoupling.metrics import (
     siy,
     structural_coupling,
 )
-from mscoupling.report import ColorClass, classify, emit_dot, emit_svg
-from mscoupling.sample import sample_graph
+from mscoupling.report import (
+    PAIR_METRICS,
+    ColorClass,
+    classify,
+    emit_dot,
+    emit_pair_matrix_csv,
+    emit_service_metrics_csv,
+    emit_summary_csv,
+    emit_svg,
+)
+from mscoupling.sample import SAMPLE_PROJECT_NAME, sample_graph
 from sample_systems import make_chain3, make_single_edge, make_star4
 from strategies import random_graph
 
@@ -224,6 +233,17 @@ def test_repeated_and_parallel_runs_are_byte_identical(tmp_path, capsys):
     parallel_stdout = capsys.readouterr().out
     assert read_tree(serial) == read_tree(parallel)
     assert serial_stdout == parallel_stdout
+
+
+def test_tables_match_golden_files():
+    fixtures = {"example": (sample_graph(), SAMPLE_PROJECT_NAME), "star4": (make_star4(), "star4")}
+    for name, (graph, project) in fixtures.items():
+        analysis = analyze(graph)
+        assert emit_service_metrics_csv(analysis) == (GOLDEN_DIR / f"{name}.service_metrics.csv").read_text()
+        for metric in PAIR_METRICS:
+            assert emit_pair_matrix_csv(analysis, metric) == (GOLDEN_DIR / f"{name}.pair_{metric}.csv").read_text()
+        summary = project_summary(analysis, project)
+        assert emit_summary_csv([summary]) == (GOLDEN_DIR / f"{name}.summary.csv").read_text()
 
 
 def test_drawings_match_golden_files():

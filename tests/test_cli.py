@@ -63,6 +63,13 @@ def read_rows(path):
         return list(csv.DictReader(handle))
 
 
+def run_module(*args):
+    """Run ``python -m mscoupling`` in a child process, capturing its output."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "mscoupling", *args], env=env, capture_output=True, timeout=60)
+
+
 def read_tree(root):
     return {
         str(path.relative_to(root)): path.read_bytes()
@@ -284,6 +291,23 @@ class TestAnalyze:
         assert len(err.encode("utf-8")) <= 300
         assert position in err
 
+    def test_unknown_field_warnings_bound_echoed_names(self, tmp_path):
+        key = "k" * 20000
+        source = write_descriptor(
+            tmp_path,
+            {
+                "name": "x",
+                key: 1,
+                "services": [{"id": "A", key: 1}, {"id": "B"}],
+                "edges": [{"source": "A", "target": "B", key: 1}],
+            },
+        )
+        completed = run_module("analyze", str(source), "--out", str(tmp_path / "out"))
+        assert completed.returncode == 0, completed.stderr[:1000]
+        assert len(completed.stderr) <= 1000
+        warnings = completed.stderr.decode("utf-8").splitlines()
+        assert [line.split(":")[0] for line in warnings] == ["descriptor", "service #0", "edge #0"]
+
     def test_stray_quote_in_large_edge_csv_exits_1(self, tmp_path, capsys):
         source = tmp_path / "deps.csv"
         rows = "".join(f"svc-{i},svc-{i + 1}\n" for i in range(20000))
@@ -492,6 +516,10 @@ class TestCorpus:
         assert main(["corpus", str(tmp_path / "absent")]) == 2
         capsys.readouterr()
 
+    def test_missing_root_argument_exits_1(self, capsys):
+        assert main(["corpus"]) == 1
+        assert "root" in capsys.readouterr().err
+
     def test_jobs_must_be_positive(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         root.mkdir()
@@ -542,14 +570,7 @@ class TestArgumentHandling:
         capsys.readouterr()
 
     def test_python_m_runs_cli(self, tmp_path):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         out = tmp_path / "out"
-        completed = subprocess.run(
-            [sys.executable, "-m", "mscoupling", "example", "--out", str(out)],
-            env=env,
-            capture_output=True,
-            timeout=60,
-        )
+        completed = run_module("example", "--out", str(out))
         assert completed.returncode == 0, completed.stderr
         assert (out / "graph.dot").is_file()

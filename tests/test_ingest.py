@@ -249,6 +249,20 @@ class TestComposeParsing:
             parse_compose('services:\n  web:\n    depends_on: ["a,b"]\n')
         assert "service #0" in str(excinfo.value) and "forbidden character" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "services:\n  web:\n    depends_on:\n      -\n  None:\n",
+            "services:\n  web:\n    depends_on:\n      -\n  db:\n",
+            "services:\n  web:\n    links:\n      -\n  db:\n",
+        ],
+        ids=["depends_on-with-None-service", "depends_on", "links"],
+    )
+    def test_empty_entry_rejected(self, text):
+        with pytest.raises(ParseError) as excinfo:
+            parse_compose(text)
+        assert str(excinfo.value) == "service 'web': depends_on and links entries must be service names"
+
     def test_plain_scalar_names_stay_text(self):
         descriptor = parse_compose(
             "x-common: &common\n"

@@ -207,7 +207,7 @@ class TestServiceLevelMetrics:
 
 class TestSummaries:
     def test_summarize_star_sc(self, star4):
-        summary = summarize((m.sc for m in pair_matrix(star4)), "sc")
+        summary = summarize(m.sc for m in pair_matrix(star4))
         assert summary.count == 8
         assert summary.max == pytest.approx(0.875, **APPROX)
         assert summary.avg == pytest.approx(0.8125, **APPROX)
@@ -216,13 +216,13 @@ class TestSummaries:
         assert summary.total == pytest.approx(6.5, **APPROX)
 
     def test_summarize_single_value(self):
-        summary = summarize([0.4], "sc")
+        summary = summarize([0.4])
         assert summary.count == 1
         assert summary.max == summary.avg == summary.median == summary.total == 0.4
         assert summary.stdev == 0.0
 
     def test_summarize_empty(self):
-        summary = summarize([], "cbm")
+        summary = summarize([])
         assert summary.count == 0
         assert summary.max is None
         assert summary.avg is None
@@ -231,7 +231,7 @@ class TestSummaries:
         assert summary.total is None
 
     def test_even_length_median_averages_middle_two(self):
-        assert summarize([1, 2, 10, 20], "x").median == pytest.approx(6.0, **APPROX)
+        assert summarize([1, 2, 10, 20]).median == pytest.approx(6.0, **APPROX)
 
     def test_project_summary_star(self, star4):
         summary = project_summary(analyze(star4), "star")
@@ -351,7 +351,7 @@ class TestMetricProperties:
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
     def test_summarize_agrees_with_statistics_module(self, values):
-        summary = summarize(values, "x")
+        summary = summarize(values)
         assert summary.count == len(values)
         assert summary.max == max(values)
         assert summary.avg == pytest.approx(statistics.fmean(values), abs=1e-9)

@@ -181,6 +181,11 @@ class TestServiceMetricsCsv:
         rows = rows_by_first_column(emit_service_metrics_csv(analyze(graph)))
         assert rows["A"]["loc"] == "120"
 
+    def test_zero_counts_print_zero_not_blank(self):
+        graph = ServiceGraph.build([ServiceNode("A", class_count=0, loc=0)])
+        rows = rows_by_first_column(emit_service_metrics_csv(analyze(graph)))
+        assert (rows["A"]["classes"], rows["A"]["loc"], rows["A"]["cbm"]) == ("0", "0", "")
+
 
 class TestSummaryCsv:
     def test_star_row(self, star4):
