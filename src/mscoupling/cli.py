@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(run=cmd_analyze)
     corpus = sub.add_parser("corpus", parents=[common], help="analyze every project under a corpus root")
     corpus.add_argument("input", type=Path, metavar="root")
-    corpus.add_argument("--jobs", type=int, default=1, metavar="N", help="projects to process in parallel")
+    corpus.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes (1 runs in-process)")
     corpus.set_defaults(run=cmd_corpus)
     example = sub.add_parser("example", parents=[common], help="analyze the built-in demo system")
     example.set_defaults(run=cmd_example)
@@ -215,8 +215,24 @@ def _process_corpus_project(descriptor_path: Path, config: CliConfig):
 
 def cmd_corpus(config: CliConfig) -> int:
     projects = load_corpus(config.input_path)
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        results = list(pool.map(lambda path: _process_corpus_project(path, config), projects))
+    worker = functools.partial(_process_corpus_project, config=config)
+    workers = min(config.jobs, len(projects))
+    if workers <= 1:
+        results = list(map(worker, projects))
+    else:
+        # Imported here: multiprocessing adds ~18 ms to every start-up, and only a pool needs it.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(worker, projects))
+        except BrokenProcessPool:
+            # No summary of an earlier run may stand for one that did not finish.
+            for filename in (CORPUS_SUMMARY, CORPUS_ERRORS):
+                (config.out_dir / filename).unlink(missing_ok=True)
+            print(f"error: corpus {config.input_path}: a worker process died before the run finished", file=sys.stderr)
+            return EXIT_IO
 
     failures: list[tuple[str, str]] = []
     summaries: list[ProjectSummary] = []

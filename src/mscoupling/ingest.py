@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import logging
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -212,6 +213,8 @@ def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
     services: list[ServiceNode] = []
     edges: list[DependencyEdge] = []
     for position, (service, config) in enumerate(raw_services.items()):
+        if service is None:
+            raise ParseError(f"service #{position}: service names must not be empty")
         service = str(service)
         if config is None:
             config = {}
@@ -240,11 +243,31 @@ def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
 
 
 def count_source_units(directory: Path) -> int:
-    """Count the ``.java`` files under ``directory``, recursively."""
+    """Count the ``.java`` files under ``directory``, recursively.
+
+    Symlinked files count, symlinked directories are not entered, and
+    unreadable subdirectories are skipped (as ``Path.rglob`` does).
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"not a directory: {directory}")
-    return sum(1 for path in directory.rglob("*") if path.is_file() and path.suffix == SOURCE_SUFFIX)
+    count, pending = 0, [directory]
+    while pending:
+        try:
+            with os.scandir(pending.pop()) as scan:
+                entries = list(scan)
+        except PermissionError:
+            continue
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                pending.append(entry.path)
+            # Path.suffix: the name must hold more than the suffix (".java" alone is a hidden file)
+            elif entry.name != SOURCE_SUFFIX and entry.name.endswith(SOURCE_SUFFIX):
+                try:
+                    count += entry.is_file()
+                except OSError:  # a symlink loop, which Path.is_file also reads as "not a file"
+                    pass
+    return count
 
 
 def build_graph(descriptor: ProjectDescriptor, base_dir: Path | None = None) -> ServiceGraph:

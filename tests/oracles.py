@@ -7,6 +7,8 @@ under test.  Slow and obvious on purpose.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 def pair_outdegree(edges, s1, s2):
     return sum(w for a, b, w in edges if a == s1 and b == s2)
@@ -107,3 +109,8 @@ def articulation_points(services, edges):
     return {
         s for s in services if component_count(services, edges, removed=s) > base
     }
+
+
+def source_units(directory):
+    """The ``.java`` files under ``directory`` as ``Path.rglob`` sees them."""
+    return sum(1 for path in Path(directory).rglob("*") if path.is_file() and path.suffix == ".java")

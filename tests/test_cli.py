@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
+import functools
 import json
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -12,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from mscoupling import metrics
+from mscoupling import cli, metrics
 from mscoupling.cli import OUTPUT_NAMES, main, run
 from mscoupling.graph import ServiceGraph
 
@@ -63,11 +67,16 @@ def read_rows(path):
         return list(csv.DictReader(handle))
 
 
-def run_module(*args):
-    """Run ``python -m mscoupling`` in a child process, capturing its output."""
+def run_python(*args):
+    """Run a Python child process that imports the package from ``src``, capturing its output."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "mscoupling", *args], env=env, capture_output=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+def run_module(*args):
+    """Run ``python -m mscoupling`` in a child process, capturing its output."""
+    return run_python("-m", "mscoupling", *args)
 
 
 def read_tree(root):
@@ -76,6 +85,33 @@ def read_tree(root):
         for path in sorted(root.rglob("*"))
         if path.is_file()
     }
+
+
+def _exit_worker(descriptor_path, config):
+    """A corpus worker that ends its process without returning, as a crashed worker does."""
+    os._exit(1)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with an in-process stand-in; returns the ``max_workers`` of each pool built."""
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return sizes
 
 
 class TestAnalyze:
@@ -546,6 +582,81 @@ class TestCorpus:
         assert read_tree(serial) == read_tree(parallel)
         assert serial_stdout == parallel_stdout
 
+    @pytest.mark.parametrize("start_method", [None, "spawn"], ids=["default-start", "spawn"])
+    def test_worker_processes_match_in_process_run(self, tmp_path, monkeypatch, start_method, capsys):
+        if start_method is not None:
+            context = multiprocessing.get_context(start_method)
+            pool = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=context)
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        root = tmp_path / "corpus"
+        write_corpus_project(root, "a", HUB_DESCRIPTOR)
+        write_corpus_project(root, "b", SINGLE_EDGE_DESCRIPTOR | {"name": "hub"})
+        write_corpus_project(root, "c", SINGLE_EDGE_DESCRIPTOR | {"name": "extra", "owner": "ops"})
+        (root / "d").mkdir()
+        (root / "d" / "project.json").write_text("{nope")
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out-{jobs}"
+            code = main(["corpus", str(root), "--out", str(out), "--jobs", jobs])
+            runs.append((code, capsys.readouterr().out, read_tree(out)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 3
+        assert runs[0][1].splitlines()[-1] == "2 project(s) analyzed, 2 failed"
+
+    def test_worker_warnings_reach_stderr(self, tmp_path):
+        root = tmp_path / "corpus"
+        for name in ("one", "two"):
+            write_corpus_project(root, name, SINGLE_EDGE_DESCRIPTOR | {"name": name, "owner": "ops"})
+        completed = run_module("corpus", str(root), "--out", str(tmp_path / "out"), "--jobs", "2")
+        assert completed.returncode == 0, completed.stderr[:1000]
+        assert completed.stderr.decode("utf-8").splitlines() == ["descriptor: ignoring unknown fields 'owner'"] * 2
+
+    @pytest.mark.parametrize(
+        ("projects", "jobs", "pools"),
+        [(3, "64", [3]), (2, "1", []), (1, "2", []), (0, "2", [])],
+        ids=["more-jobs-than-projects", "one-job", "one-project", "empty-corpus"],
+    )
+    def test_pool_size_is_bounded_by_projects(self, tmp_path, pool_sizes, projects, jobs, pools, capsys):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        for index in range(projects):
+            write_corpus_project(root, f"p{index}", SINGLE_EDGE_DESCRIPTOR | {"name": f"p{index}"})
+        assert main(["corpus", str(root), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 0
+        assert pool_sizes == pools
+        assert capsys.readouterr().out.splitlines()[-1] == f"{projects} project(s) analyzed, 0 failed"
+
+    def test_dead_worker_exits_2_without_summary(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "corpus"
+        for name in ("one", "two"):
+            write_corpus_project(root, name, SINGLE_EDGE_DESCRIPTOR | {"name": name})
+        out = tmp_path / "out"
+        assert main(["corpus", str(root), "--out", str(out)]) == 0
+        assert (out / "corpus_summary.csv").is_file()
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_process_corpus_project", _exit_worker)
+        assert main(["corpus", str(root), "--out", str(out), "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: corpus {root}: ")
+        assert captured.err.count("\n") == 1
+        assert not (out / "corpus_summary.csv").exists()
+
+    def test_worker_and_results_survive_pickling(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        good = write_corpus_project(root, "good", HUB_DESCRIPTOR) / "project.json"
+        bad = root / "bad" / "project.json"
+        bad.parent.mkdir()
+        bad.write_text("{nope")
+        args = cli.build_parser().parse_args(["corpus", str(root), "--out", str(tmp_path / "out"), "--jobs", "2"])
+        worker = functools.partial(cli._process_corpus_project, config=cli._config_from_args(args))
+        clone = pickle.loads(pickle.dumps(worker))
+        assert clone.func is cli._process_corpus_project
+        assert clone.keywords == worker.keywords
+        for path in (good, bad):
+            result = clone(path)
+            assert pickle.loads(pickle.dumps(result)) == result
+        capsys.readouterr()
+
 
 class TestArgumentHandling:
     def test_no_command_exits_1(self, capsys):
@@ -568,6 +679,12 @@ class TestArgumentHandling:
             run()
         assert excinfo.value.code == 0
         capsys.readouterr()
+
+    def test_importing_cli_loads_no_multiprocessing(self):
+        code = "import sys, mscoupling.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        completed = run_python("-c", code)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == b"[]\n"
 
     def test_python_m_runs_cli(self, tmp_path):
         out = tmp_path / "out"

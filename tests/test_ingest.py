@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 
 import pytest
 
+import oracles
 from mscoupling.errors import DuplicateService, ParseError, UnknownService, ValidationError
 from mscoupling.graph import DependencyEdge, EdgeKind, ServiceNode
 from mscoupling.ingest import (
@@ -263,6 +265,19 @@ class TestComposeParsing:
             parse_compose(text)
         assert str(excinfo.value) == "service 'web': depends_on and links entries must be service names"
 
+    @pytest.mark.parametrize(
+        ("text", "position"),
+        [
+            ("services:\n  ? \n  : {depends_on: [web]}\n  web:\n", 0),
+            ("services:\n  web:\n  !!null '': {}\n", 1),
+        ],
+        ids=["empty-key", "tagged-null-key"],
+    )
+    def test_empty_service_name_rejected(self, text, position):
+        with pytest.raises(ParseError) as excinfo:
+            parse_compose(text)
+        assert str(excinfo.value) == f"service #{position}: service names must not be empty"
+
     def test_plain_scalar_names_stay_text(self):
         descriptor = parse_compose(
             "x-common: &common\n"
@@ -323,6 +338,41 @@ class TestSourceCounting:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             count_source_units(tmp_path / "absent")
+
+    def test_matches_rglob_on_links_and_odd_names(self, tmp_path):
+        tree, outside = tmp_path / "tree", tmp_path / "outside"
+        (tree / "src" / "main" / "Dir.java").mkdir(parents=True)
+        outside.mkdir()
+        for path in (
+            tree / "Top.java",
+            tree / "src" / "main" / "Deep.java",
+            tree / "src" / "a.b.java",
+            tree / ".java",
+            tree / "..java",
+            tree / "Shout.JAVA",
+            tree / "notes.txt",
+            outside / "Linked.java",
+        ):
+            path.write_text("class X {}")
+        (tree / "linked-file.java").symlink_to(outside / "Linked.java")
+        (tree / "linked-dir").symlink_to(outside, target_is_directory=True)
+        (tree / "broken.java").symlink_to(tmp_path / "missing.java")
+        (tree / "loop.java").symlink_to(tree / "loop.java")
+        assert count_source_units(tree) == oracles.source_units(tree) == 5
+
+    def test_unreadable_subdirectory_is_skipped_like_rglob(self, tmp_path, monkeypatch):
+        (tmp_path / "locked").mkdir()
+        (tmp_path / "locked" / "Hidden.java").write_text("class Hidden {}")
+        (tmp_path / "Open.java").write_text("class Open {}")
+        scandir = os.scandir
+
+        def guarded(path="."):
+            if os.fspath(path).endswith("locked"):
+                raise PermissionError(13, "Permission denied", os.fspath(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", guarded)
+        assert count_source_units(tmp_path) == oracles.source_units(tmp_path) == 1
 
 
 class TestGraphBuilding:
