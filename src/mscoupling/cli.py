@@ -117,13 +117,16 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     )
 
 
-def _write_files(out_dir: Path, files: dict[str, str]) -> None:
-    """Write every file under a temporary name, then rename each into place.
+def _write_files(out_dir: Path, files: dict[str, str], owned: tuple[str, ...]) -> None:
+    """Write ``files`` as one batch, then remove each ``owned`` file the batch did not write.
 
-    A failed write renames nothing.  When a write or a rename fails, the
-    temporary files this call created are removed and the error re-raised.
+    Every file is written under a temporary name before any is renamed into
+    place, so a failed write renames nothing.  When a write or a rename fails,
+    the temporary files this call created are removed, no owned file is, and
+    the error is re-raised.  An empty batch creates no directory.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if files:
+        out_dir.mkdir(parents=True, exist_ok=True)
     created: list[Path] = []
     try:
         for filename, content in files.items():
@@ -136,6 +139,9 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> None:
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
         raise
+    for filename in owned:
+        if filename not in files:
+            (out_dir / filename).unlink(missing_ok=True)
 
 
 def _summary_line(graph: ServiceGraph, summary: ProjectSummary, options: RenderOptions) -> str:
@@ -163,15 +169,7 @@ def _write_outputs(analysis: Analysis, config: CliConfig, summary: ProjectSummar
         files["graph.dot"] = report.emit_dot(analysis, config.options)
     if "svg" in config.emit:
         files["graph.svg"] = report.emit_svg(analysis, config.options)
-    _write_files(config.out_dir, files)
-    _remove_outputs(config.out_dir, keep=tuple(files))
-
-
-def _remove_outputs(out_dir: Path, keep: tuple[str, ...] = ()) -> None:
-    """Remove every analysis output file in ``out_dir`` not named in ``keep``."""
-    for filename in OUTPUT_NAMES:
-        if filename not in keep:
-            (out_dir / filename).unlink(missing_ok=True)
+    _write_files(config.out_dir, files, OUTPUT_NAMES)
 
 
 def _analyze_graph(graph: ServiceGraph, name: str, config: CliConfig) -> tuple[ProjectSummary, str]:
@@ -229,8 +227,7 @@ def cmd_corpus(config: CliConfig) -> int:
                 results = list(pool.map(worker, projects))
         except BrokenProcessPool:
             # No summary of an earlier run may stand for one that did not finish.
-            for filename in (CORPUS_SUMMARY, CORPUS_ERRORS):
-                (config.out_dir / filename).unlink(missing_ok=True)
+            _write_files(config.out_dir, {}, (CORPUS_SUMMARY, CORPUS_ERRORS))
             print(f"error: corpus {config.input_path}: a worker process died before the run finished", file=sys.stderr)
             return EXIT_IO
 
@@ -243,18 +240,17 @@ def cmd_corpus(config: CliConfig) -> int:
             error = f"duplicate project name {summary.project_name!r}"
         if error is not None:
             failures.append((dir_name, error))
-            _remove_outputs(config.out_dir / dir_name)
+            _write_files(config.out_dir / dir_name, {}, OUTPUT_NAMES)
             continue
         seen_names.add(summary.project_name)
         summaries.append(summary)
         lines.append(line)
 
     summaries.sort(key=lambda s: s.project_name)
-    _write_files(config.out_dir, {CORPUS_SUMMARY: report.emit_summary_csv(summaries, config.options)})
+    files = {CORPUS_SUMMARY: report.emit_summary_csv(summaries, config.options)}
     if failures:
-        _write_files(config.out_dir, {CORPUS_ERRORS: "".join(f"{dir_name}: {error}\n" for dir_name, error in failures)})
-    else:
-        (config.out_dir / CORPUS_ERRORS).unlink(missing_ok=True)
+        files[CORPUS_ERRORS] = "".join(f"{dir_name}: {error}\n" for dir_name, error in failures)
+    _write_files(config.out_dir, files, (CORPUS_SUMMARY, CORPUS_ERRORS))
 
     for line in sorted(lines):
         print(line)

@@ -10,7 +10,7 @@ count as three dependencies, not one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -127,7 +127,7 @@ class ServiceGraph:
         ids = sorted(by_id)
         out: dict[ServiceId, dict[ServiceId, int]] = {service: {} for service in ids}
         in_: dict[ServiceId, dict[ServiceId, int]] = {service: {} for service in ids}
-        merged: dict[tuple[str, str, EdgeKind], int] = {}
+        merged: dict[tuple[str, str, EdgeKind], tuple[DependencyEdge, int]] = {}
         for position, edge in enumerate(self.edges):
             for service in (edge.source, edge.target):
                 if service not in by_id:
@@ -135,17 +135,18 @@ class ServiceGraph:
                         f"edge #{position} {_endpoints(edge)} references undeclared service {_shown(service)}"
                     )
             key = (edge.source, edge.target, edge.kind)
-            merged[key] = merged.get(key, 0) + edge.weight
+            first, total = merged.get(key, (edge, 0))
+            if (total := total + edge.weight) > MAX_WEIGHT:
+                raise ValidationError(f"edge #{position} {_endpoints(edge)}: merged weight must be at most 2**53")
+            merged[key] = first, total
             providers, clients = out[edge.source], in_[edge.target]
             providers[edge.target] = providers.get(edge.target, 0) + edge.weight
             clients[edge.source] = clients.get(edge.source, 0) + edge.weight
         object.__setattr__(self, "nodes", tuple(by_id[service] for service in ids))
         # EdgeKind is a str enum, so the keys sort by (source, target, kind value).
-        edges = tuple(
-            DependencyEdge(source, target, weight, kind) for (source, target, kind), weight in sorted(merged.items())
-        )
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_by_id", by_id)
+        # Each key keeps its first checked record; only a repeated key builds a summed one.
+        edges = (merged[key] for key in sorted(merged))
+        object.__setattr__(self, "edges", tuple(e if e.weight == w else replace(e, weight=w) for e, w in edges))
         # Per service, kinds merged: total weight to each provider (_out) and from each client (_in).
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", in_)
@@ -166,12 +167,8 @@ class ServiceGraph:
     def service_ids(self) -> tuple[ServiceId, ...]:
         return tuple(node.id for node in self.nodes)
 
-    def node(self, service: ServiceId) -> ServiceNode:
-        self._require(service)
-        return self._by_id[service]
-
     def _require(self, service: ServiceId) -> None:
-        if service not in self._by_id:
+        if service not in self._out:
             raise UnknownService(f"unknown service {_shown(service)}")
 
     # -- degrees ----------------------------------------------------------

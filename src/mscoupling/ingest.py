@@ -84,47 +84,44 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
     if unknown:
         logger.warning("descriptor: ignoring unknown fields %s", _shown(", ".join(unknown)))
 
-    services: list[ServiceNode] = []
-    source_dirs: dict[str, str] = {}
-    raw_services = document.get("services", [])
-    if not isinstance(raw_services, list):
-        raise ValidationError("'services' must be an array")
-    for position, raw in enumerate(raw_services):
-        if not isinstance(raw, dict):
-            raise ValidationError(f"service #{position} must be an object")
-        unknown = sorted(set(raw) - {"id", "classes", "loc", "source_dir"})
-        if unknown:
-            logger.warning("service #%d: ignoring unknown fields %s", position, _shown(", ".join(unknown)))
-        try:
-            node = ServiceNode(raw.get("id"), raw.get("classes"), raw.get("loc"))
-        except CouplingError as exc:
-            raise ValidationError(f"service #{position}: {exc}") from None
+    def service(raw: dict) -> tuple[ServiceNode, str | None]:
+        node = ServiceNode(raw.get("id"), raw.get("classes"), raw.get("loc"))
         source_dir = raw.get("source_dir")
-        if source_dir is not None:
-            if not isinstance(source_dir, str):
-                raise ValidationError(f"service #{position}: source_dir must be a string")
-            source_dirs[node.id] = source_dir
-        services.append(node)
+        if source_dir is not None and not isinstance(source_dir, str):
+            raise ValidationError("source_dir must be a string")
+        return node, source_dir
 
-    edges: list[DependencyEdge] = []
-    raw_edges = document.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise ValidationError("'edges' must be an array")
-    for position, raw in enumerate(raw_edges):
+    def edge(raw: dict) -> DependencyEdge:
+        weight, kind = raw.get("weight", 1), raw.get("kind", EdgeKind.CALL)
+        return DependencyEdge(raw.get("source"), raw.get("target"), weight, kind)
+
+    services = _descriptor_records(document, "services", "service", {"id", "classes", "loc", "source_dir"}, service)
+    edges = _descriptor_records(document, "edges", "edge", {"source", "target", "weight", "kind"}, edge)
+    source_dirs = {node.id: source_dir for node, source_dir in services if source_dir is not None}
+    return ProjectDescriptor(document.get("name"), tuple(node for node, _ in services), tuple(edges), source_dirs)
+
+
+def _descriptor_records(document: dict, key: str, label: str, fields: set[str], make) -> list:
+    """``make(raw)`` for each object in the array ``document[key]``, in order.
+
+    Unknown fields are ignored with a warning, and an error names the
+    record's position (``label #i``).
+    """
+    raw_records = document.get(key, [])
+    if not isinstance(raw_records, list):
+        raise ValidationError(f"'{key}' must be an array")
+    records = []
+    for position, raw in enumerate(raw_records):
         if not isinstance(raw, dict):
-            raise ValidationError(f"edge #{position} must be an object")
-        unknown = sorted(set(raw) - {"source", "target", "weight", "kind"})
+            raise ValidationError(f"{label} #{position} must be an object")
+        unknown = sorted(set(raw) - fields)
         if unknown:
-            logger.warning("edge #%d: ignoring unknown fields %s", position, _shown(", ".join(unknown)))
+            logger.warning("%s #%d: ignoring unknown fields %s", label, position, _shown(", ".join(unknown)))
         try:
-            edge = DependencyEdge(
-                raw.get("source"), raw.get("target"), raw.get("weight", 1), raw.get("kind", EdgeKind.CALL)
-            )
+            records.append(make(raw))
         except CouplingError as exc:
-            raise ValidationError(f"edge #{position}: {exc}") from None
-        edges.append(edge)
-
-    return ProjectDescriptor(document.get("name"), tuple(services), tuple(edges), source_dirs)
+            raise ValidationError(f"{label} #{position}: {exc}") from None
+    return records
 
 
 def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:

