@@ -37,6 +37,7 @@ EXIT_PARTIAL = 3
 EMIT_CHOICES = ("csv", "dot", "svg")
 CORPUS_SUMMARY = "corpus_summary.csv"
 CORPUS_ERRORS = "corpus_errors.txt"
+CORPUS_FILES = (CORPUS_SUMMARY, CORPUS_ERRORS)
 # Every file a project analysis can write; a run removes the ones it did not write.
 OUTPUT_NAMES = (
     "service_metrics.csv",
@@ -213,6 +214,8 @@ def _process_corpus_project(descriptor_path: Path, config: CliConfig):
 
 def cmd_corpus(config: CliConfig) -> int:
     projects = load_corpus(config.input_path)
+    # The summary pair commits the run: removed before any project runs, written as its last act.
+    _write_files(config.out_dir, {}, CORPUS_FILES)
     worker = functools.partial(_process_corpus_project, config=config)
     workers = min(config.jobs, len(projects))
     if workers <= 1:
@@ -226,35 +229,29 @@ def cmd_corpus(config: CliConfig) -> int:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(worker, projects))
         except BrokenProcessPool:
-            # No summary of an earlier run may stand for one that did not finish.
-            _write_files(config.out_dir, {}, (CORPUS_SUMMARY, CORPUS_ERRORS))
             print(f"error: corpus {config.input_path}: a worker process died before the run finished", file=sys.stderr)
             return EXIT_IO
 
-    failures: list[tuple[str, str]] = []
-    summaries: list[ProjectSummary] = []
-    lines: list[str] = []
-    seen_names: set[str] = set()
+    analyzed: dict[str, tuple[ProjectSummary, str]] = {}
+    failures: list[str] = []
     for dir_name, summary, line, error in results:
-        if error is None and summary.project_name in seen_names:
+        if error is None and summary.project_name in analyzed:
             error = f"duplicate project name {summary.project_name!r}"
-        if error is not None:
-            failures.append((dir_name, error))
+        if error is None:
+            analyzed[summary.project_name] = summary, line
+        else:
+            failures.append(f"{dir_name}: {error}\n")
             _write_files(config.out_dir / dir_name, {}, OUTPUT_NAMES)
-            continue
-        seen_names.add(summary.project_name)
-        summaries.append(summary)
-        lines.append(line)
 
-    summaries.sort(key=lambda s: s.project_name)
-    files = {CORPUS_SUMMARY: report.emit_summary_csv(summaries, config.options)}
+    records = [analyzed[name] for name in sorted(analyzed)]
+    files = {CORPUS_SUMMARY: report.emit_summary_csv([summary for summary, _ in records], config.options)}
     if failures:
-        files[CORPUS_ERRORS] = "".join(f"{dir_name}: {error}\n" for dir_name, error in failures)
-    _write_files(config.out_dir, files, (CORPUS_SUMMARY, CORPUS_ERRORS))
+        files[CORPUS_ERRORS] = "".join(failures)
+    _write_files(config.out_dir, files, CORPUS_FILES)
 
-    for line in sorted(lines):
+    for _, line in records:
         print(line)
-    print(f"{len(summaries)} project(s) analyzed, {len(failures)} failed")
+    print(f"{len(records)} project(s) analyzed, {len(failures)} failed")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

@@ -121,12 +121,6 @@ def pair_matrix(graph: ServiceGraph) -> tuple[PairMetrics, ...]:
     return tuple(pair_metrics(graph, s1, s2) for s1, s2 in graph.connected_pairs())
 
 
-def siy(graph: ServiceGraph) -> int:
-    """Number of unordered pairs that depend on each other in both directions."""
-    providers = graph.providers
-    return sum(1 for s1 in graph.service_ids for s2 in providers(s1) if s1 < s2 and s1 in providers(s2))
-
-
 def service_table(graph: ServiceGraph) -> tuple[ServiceMetrics, ...]:
     """Per-service metrics for every service, lexicographic order.
 
@@ -201,5 +195,5 @@ def project_summary(analysis: Analysis, project_name: str) -> ProjectSummary:
         gwf=summarize(p.gwf for p in pairs),
         sc=summarize(p.sc for p in pairs),
         cbm=summarize(cbm_values),
-        siy=siy(analysis.graph),
+        siy=sum(1 for p in pairs if p.s1 < p.s2 and p.outdegree and p.indegree),
     )

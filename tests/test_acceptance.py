@@ -22,7 +22,6 @@ from mscoupling.metrics import (
     pair_metrics,
     project_summary,
     service_table,
-    siy,
     structural_coupling,
 )
 from mscoupling.report import (
@@ -119,7 +118,7 @@ def test_engine_matches_brute_force_oracle():
             assert rows[service].ads == oracles.ads(raw, service)
         for row in service_table(graph):
             assert row.acs == oracles.acs(raw, row.id)
-        assert siy(graph) == oracles.siy(raw)
+        assert project_summary(analyze(graph), "p").siy == oracles.siy(raw)
         assert graph.articulation_services() == frozenset(
             oracles.articulation_points(names, raw)
         )

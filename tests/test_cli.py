@@ -548,11 +548,11 @@ class TestCorpus:
     @pytest.mark.parametrize(
         ("add_broken", "block_errors", "fresh_out", "code", "analyzed", "failed"),
         [
-            (True, True, False, 2, ["good"], ["bad"]),
+            (True, True, False, 2, None, None),
             (False, False, False, 0, ["bad", "good"], None),
             (True, False, True, 3, ["bad", "good"], ["worse"]),
         ],
-        ids=["failed-write-keeps-earlier-pair", "clean-rerun-removes-errors", "failed-project-in-fresh-out"],
+        ids=["failed-write-leaves-no-pair", "clean-rerun-removes-errors", "failed-project-in-fresh-out"],
     )
     def test_summary_and_errors_are_one_batch(
         self, tmp_path, add_broken, block_errors, fresh_out, code, analyzed, failed, capsys
@@ -563,7 +563,6 @@ class TestCorpus:
         (bad / "project.json").write_text("{nope")
         out = tmp_path / "out"
         assert main(["corpus", str(root), "--out", str(out)]) == 3
-        first_run = read_tree(out)
         write_descriptor(bad, SINGLE_EDGE_DESCRIPTOR | {"name": "bad"})
         if add_broken:
             (root / "worse").mkdir()
@@ -575,11 +574,29 @@ class TestCorpus:
         assert main(["corpus", str(root), "--out", str(out)]) == code
         capsys.readouterr()
         summary, errors = out / "corpus_summary.csv", out / "corpus_errors.txt"
-        assert [row["project"] for row in read_rows(summary)] == analyzed
+        assert ([row["project"] for row in read_rows(summary)] if summary.exists() else None) == analyzed
         assert ([line.split(":")[0] for line in errors.read_text().splitlines()] if errors.exists() else None) == failed
-        if block_errors:  # the earlier run's pair stands, byte for byte
-            assert (summary.read_bytes(), errors.read_bytes()) == (first_run[summary.name], first_run[errors.name])
+        # bad/ failed in the first run; the second run analyzed it, even when its summary pair failed to write
+        assert [row["project"] for row in read_rows(out / "bad" / "summary.csv")] == ["bad"]
         assert sorted(path.name for path in out.iterdir() if path.is_dir() and path.suffix != ".tmp") == ["bad", "good"]
+
+    def test_stdout_follows_summary_row_order(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        for name in ("a", "a-b"):
+            write_corpus_project(root, name, SINGLE_EDGE_DESCRIPTOR | {"name": name})
+        out = tmp_path / "out"
+        assert main(["corpus", str(root), "--out", str(out)]) == 0
+        printed = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert printed == [row["project"] for row in read_rows(out / "corpus_summary.csv")] == ["a", "a-b"]
+
+    def test_unremovable_summary_exits_2_before_analyzing(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        write_corpus_project(root, "p", SINGLE_EDGE_DESCRIPTOR)
+        out = tmp_path / "out"
+        (out / "corpus_summary.csv").mkdir(parents=True)
+        assert main(["corpus", str(root), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not (out / "p").exists()
 
     def test_empty_corpus(self, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -590,8 +607,11 @@ class TestCorpus:
         assert len((out / "corpus_summary.csv").read_text().splitlines()) == 1
 
     def test_missing_root_exits_2(self, tmp_path, capsys):
-        assert main(["corpus", str(tmp_path / "absent")]) == 2
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "corpus_summary.csv").write_text("earlier\n")
+        assert main(["corpus", str(tmp_path / "absent"), "--out", str(tmp_path / "out")]) == 2
         capsys.readouterr()
+        assert (tmp_path / "out" / "corpus_summary.csv").read_text() == "earlier\n"
 
     def test_missing_root_argument_exits_1(self, capsys):
         assert main(["corpus"]) == 1

@@ -18,10 +18,10 @@ from mscoupling.metrics import (
     pair_metrics,
     project_summary,
     service_table,
-    siy,
     structural_coupling,
     summarize,
 )
+from mscoupling.report import _fmt
 from strategies import service_graphs
 
 APPROX = dict(rel=None, abs=1e-12)
@@ -189,9 +189,9 @@ class TestServiceLevelMetrics:
         assert [row.id for row in service_table(demo)] == ["A", "B", "C", "D", "E"]
 
     def test_siy(self, demo, star4, single_edge):
-        assert siy(demo) == 1
-        assert siy(star4) == 0
-        assert siy(single_edge) == 0
+        assert project_summary(analyze(demo), "p").siy == 1
+        assert project_summary(analyze(star4), "p").siy == 0
+        assert project_summary(analyze(single_edge), "p").siy == 0
 
     def test_siy_counts_unordered_pairs_once(self):
         graph = ServiceGraph.build(
@@ -202,7 +202,7 @@ class TestServiceLevelMetrics:
                 DependencyEdge("A", "C"),
             ],
         )
-        assert siy(graph) == 1
+        assert project_summary(analyze(graph), "p").siy == 1
 
 
 class TestSummaries:
@@ -220,6 +220,10 @@ class TestSummaries:
         assert summary.count == 1
         assert summary.max == summary.avg == summary.median == summary.total == 0.4
         assert summary.stdev == 0.0
+
+    def test_stdev_prints_the_statistics_module_digits(self):
+        # statistics.pstdev gives 0.35000000000000003 here; an fsum two-pass deviation gives 0.35 and prints 0.3.
+        assert _fmt(summarize([0.09, 0.79]).stdev, 1) == "0.4"
 
     def test_summarize_empty(self):
         summary = summarize([])
@@ -327,7 +331,7 @@ class TestMetricProperties:
             assert rows[s].ads == oracles.ads(raw, s)
         for row in service_table(graph):
             assert row.acs == oracles.acs(raw, row.id)
-        assert siy(graph) == oracles.siy(raw)
+        assert project_summary(analyze(graph), "p").siy == oracles.siy(raw)
 
     @given(service_graphs())
     def test_acs_is_product(self, graph):
@@ -336,7 +340,7 @@ class TestMetricProperties:
 
     @given(service_graphs())
     def test_siy_bounded_by_connected_pairs(self, graph):
-        assert 0 <= siy(graph) <= len(graph.connected_pairs()) // 2
+        assert 0 <= project_summary(analyze(graph), "p").siy <= len(graph.connected_pairs()) // 2
 
     @given(service_graphs())
     def test_adding_unrelated_edge_keeps_lwf(self, graph):
