@@ -204,6 +204,8 @@ def cmd_render(config: CliConfig) -> int:
 def _process_corpus_project(descriptor_path: Path, config: CliConfig):
     """Analyze one corpus project; returns (dir_name, summary, line, error)."""
     dir_name = descriptor_path.parent.name
+    if dir_name in CORPUS_FILES:  # its output directory would take the summary file's path
+        return dir_name, None, None, f"project directory name is reserved for the run's own {dir_name}"
     try:
         graph, descriptor = load_project(descriptor_path, "descriptor")
         summary, line = _analyze_graph(graph, descriptor.name, replace(config, out_dir=config.out_dir / dir_name))

@@ -16,13 +16,23 @@ Alongside it the module computes the classic per-service coupling
 numbers: CBM (outgoing calls per class), AIS (distinct clients), ADS
 (distinct providers), ACS (= AIS * ADS) and the system-wide SIY count
 of mutually dependent pairs.  :func:`analyze` builds the pair and service tables once.
+
+Every pair value depends only on the pair's ``(outdegree, indegree)``
+class and the graph's max node degree, and a project has far fewer
+classes than pairs.  So the pair table holds ``(s1, s2, PairMetrics)``
+rows that share one :class:`PairMetrics` per class, and the summaries
+run over the class multiplicities.
 """
 
 from __future__ import annotations
 
-import statistics
+import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate, groupby
+from operator import attrgetter, itemgetter
+from typing import Iterable, Mapping
 
 from .errors import UnconnectedPair
 from .graph import ServiceGraph, ServiceId
@@ -30,16 +40,17 @@ from .graph import ServiceGraph, ServiceId
 
 @dataclass(frozen=True)
 class PairMetrics:
-    """All per-pair values for one ordered service pair."""
+    """The values of one ``(outdegree, indegree)`` pair class, shared by its pairs."""
 
-    s1: ServiceId
-    s2: ServiceId
     degree: int
     outdegree: int
     indegree: int
     lwf: float
     gwf: float
     sc: float
+
+
+PairRow = tuple[ServiceId, ServiceId, PairMetrics]
 
 
 @dataclass(frozen=True)
@@ -91,7 +102,7 @@ class ProjectSummary:
 
 
 def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetrics:
-    """All per-pair values of a connected ordered pair; `structural_coupling` reads its SC."""
+    """The values of a connected ordered pair's class; `structural_coupling` reads its SC."""
     outdegree = graph.providers(s1).get(s2, 0)
     indegree = graph.providers(s2).get(s1, 0)
     degree = outdegree + indegree
@@ -100,8 +111,6 @@ def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetri
     local = (1 + outdegree) / (1 + degree)
     global_ = degree / graph.max_node_degree()
     return PairMetrics(
-        s1=s1,
-        s2=s2,
         degree=degree,
         outdegree=outdegree,
         indegree=indegree,
@@ -116,9 +125,22 @@ def structural_coupling(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> fl
     return pair_metrics(graph, s1, s2).sc
 
 
-def pair_matrix(graph: ServiceGraph) -> tuple[PairMetrics, ...]:
-    """Pair metrics for every connected ordered pair, lexicographic order."""
-    return tuple(pair_metrics(graph, s1, s2) for s1, s2 in graph.connected_pairs())
+def pair_matrix(graph: ServiceGraph) -> tuple[PairRow, ...]:
+    """A ``(s1, s2, PairMetrics)`` row for every connected ordered pair, lexicographic order.
+
+    Each class is evaluated on the first pair that shows it, and every
+    later pair of that class shares the same :class:`PairMetrics`.
+    """
+    classes: dict[tuple[int, int], PairMetrics] = {}
+    rows = []
+    for s1, row in groupby(graph.connected_pairs(), itemgetter(0)):
+        providers, clients = graph.providers(s1), graph.clients(s1)
+        for _, s2 in row:
+            key = providers.get(s2, 0), clients.get(s2, 0)
+            if (pair := classes.get(key)) is None:
+                pair = classes[key] = pair_metrics(graph, s1, s2)
+            rows.append((s1, s2, pair))
+    return tuple(rows)
 
 
 def service_table(graph: ServiceGraph) -> tuple[ServiceMetrics, ...]:
@@ -153,7 +175,7 @@ class Analysis:
     """A graph with its pair table and service table, each computed once."""
 
     graph: ServiceGraph
-    pairs: tuple[PairMetrics, ...]
+    pairs: tuple[PairRow, ...]
     services: tuple[ServiceMetrics, ...]
 
 
@@ -170,30 +192,75 @@ def summarize(values: Iterable[float]) -> StatSummary:
     count), so a single value summarizes to stdev 0 rather than being
     undefined.
     """
-    data: Sequence[float] = [float(v) for v in values]
-    if not data:
+    data = [float(v) for v in values]
+    return _stats(Counter(data), sum(data))
+
+
+def _stats(counts: Mapping[float, int], total: float) -> StatSummary:
+    """Summary of the multiset ``{value: multiplicity}`` whose float sum in data order is ``total``.
+
+    Max, median and stdev equal ``max``, ``statistics.median`` and
+    ``statistics.pstdev`` of the data bit for bit: the first two read the
+    sorted values, and the stdev is exact.
+    """
+    if not counts:
         return StatSummary(count=0)
-    total = sum(data)
+    values, multiplicities = zip(*sorted(counts.items()))
+    ends = list(accumulate(multiplicities))  # ends[i] data points are at most values[i]
+    count = ends[-1]
+    low, high = (values[bisect_right(ends, k)] for k in ((count - 1) // 2, count // 2))
+    # Each value is an integer over a power of two, so over the largest such denominator
+    # every value is an exact integer x, and Σm·x and Σm·x² are exact.
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(d for _, d in ratios)
+    xs = [n * (scale // d) for n, d in ratios]
+    linear = sum(m * x for m, x in zip(multiplicities, xs))
+    square = sum(m * x * x for m, x in zip(multiplicities, xs))
     return StatSummary(
-        count=len(data),
-        max=max(data),
-        avg=total / len(data),
-        median=statistics.median(data),
-        stdev=statistics.pstdev(data),
+        count=count,
+        max=values[-1],
+        avg=total / count,
+        median=high if count % 2 else (low + high) / 2,
+        stdev=_sqrt_of_fraction(count * square - linear * linear, (count * scale) ** 2),
         total=total,
     )
 
 
+def _sqrt_of_fraction(n: int, m: int) -> float:
+    """Square root of ``n / m``, correctly rounded: round-to-odd to 109 bits, then one rounding to float."""
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def project_summary(analysis: Analysis, project_name: str) -> ProjectSummary:
-    """Descriptive statistics of all pair and service metrics for a project."""
-    pairs = analysis.pairs
-    cbm_values = [m.cbm for m in analysis.services if m.cbm is not None]
+    """Descriptive statistics of all pair and service metrics for a project.
+
+    Max, median and stdev run over the class multiplicities; total and
+    avg stay a float sum in pair order, as float addition depends on order.
+    """
+    pairs = list(map(itemgetter(2), analysis.pairs))
+    classes = Counter(pairs)
+
+    def pair_stats(metric: str) -> StatSummary:
+        value = attrgetter(metric)
+        counts: Counter[float] = Counter()
+        for pair, multiplicity in classes.items():
+            counts[float(value(pair))] += multiplicity
+        return _stats(counts, sum(map(float, map(value, pairs))))
+
     return ProjectSummary(
         project_name=project_name,
-        degree=summarize(p.degree for p in pairs),
-        lwf=summarize(p.lwf for p in pairs),
-        gwf=summarize(p.gwf for p in pairs),
-        sc=summarize(p.sc for p in pairs),
-        cbm=summarize(cbm_values),
-        siy=sum(1 for p in pairs if p.s1 < p.s2 and p.outdegree and p.indegree),
+        degree=pair_stats("degree"),
+        lwf=pair_stats("lwf"),
+        gwf=pair_stats("gwf"),
+        sc=pair_stats("sc"),
+        cbm=summarize(m.cbm for m in analysis.services if m.cbm is not None),
+        # A mutual pair shows as two rows, (s1, s2) and (s2, s1).
+        siy=sum(n for pair, n in classes.items() if pair.outdegree and pair.indegree) // 2,
     )

@@ -6,6 +6,8 @@ lexicographic order, numbers are fixed-point, and equal inputs produce
 byte-identical CSV/DOT/SVG output.  Counts (degrees, AIS/ADS/ACS, SIY)
 are printed as plain integers; real-valued metrics (LWF/GWF/SC/CBM and
 all summary statistics) use ``decimal_places`` digits; undefined is blank.
+Pair rows of one class share one ``PairMetrics``, so each emitter call
+formats a pair value once per class, keyed by that object's ``id``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 
 from .errors import EmptyGraph, ValidationError
 from .graph import ServiceId
@@ -92,12 +94,15 @@ def emit_pair_matrix_csv(analysis: Analysis, metric: str, options: RenderOptions
         raise ValueError(f"metric must be one of {PAIR_METRICS}, got {metric!r}")
     services = analysis.graph.service_ids
     column = {service: index for index, service in enumerate(services)}
-    row_pairs = {s1: tuple(pairs) for s1, pairs in groupby(analysis.pairs, attrgetter("s1"))}
+    row_pairs = {s1: tuple(rows) for s1, rows in groupby(analysis.pairs, itemgetter(0))}
+    text: dict[int, str] = {}
     lines = ["service," + ",".join(services)]
     for row in services:
         cells = [""] * len(services)
-        for pair in row_pairs.get(row, ()):
-            cells[column[pair.s2]] = _fmt(getattr(pair, metric), options.decimal_places)
+        for _, s2, pair in row_pairs.get(row, ()):
+            if (cell := text.get(id(pair))) is None:
+                cell = text[id(pair)] = _fmt(getattr(pair, metric), options.decimal_places)
+            cells[column[s2]] = cell
         lines.append(row + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -148,12 +153,14 @@ def emit_dot(analysis: Analysis, options: RenderOptions = RenderOptions()) -> st
         color = classify(analysis, row, options).value
         size = _fmt(node_size(analysis, row), 2)
         lines.append(f"    {_dot_id(row.id)} [fillcolor={color}, width={size}, height={size}];")
-    for arrow in analysis.pairs:
-        if arrow.outdegree == 0:
+    attributes: dict[int, str] = {}
+    for s1, s2, pair in analysis.pairs:
+        if pair.outdegree == 0:
             continue
-        label = _fmt(arrow.sc, options.decimal_places)
-        penwidth = _fmt(1 + 3 * arrow.sc, 2)
-        lines.append(f'    {_dot_id(arrow.s1)} -> {_dot_id(arrow.s2)} [label="{label}", penwidth={penwidth}];')
+        if (text := attributes.get(id(pair))) is None:
+            label, penwidth = _fmt(pair.sc, options.decimal_places), _fmt(1 + 3 * pair.sc, 2)
+            text = attributes[id(pair)] = f'label="{label}", penwidth={penwidth}'
+        lines.append(f"    {_dot_id(s1)} -> {_dot_id(s2)} [{text}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -200,10 +207,10 @@ def emit_svg(analysis: Analysis, options: RenderOptions = RenderOptions()) -> st
         f'  <rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
     ]
 
-    for arrow in analysis.pairs:
-        if arrow.outdegree == 0:
+    labels: dict[int, str] = {}
+    for s1, s2, pair in analysis.pairs:
+        if pair.outdegree == 0:
             continue
-        s1, s2 = arrow.s1, arrow.s2
         (x1, y1), (x2, y2) = position[s1], position[s2]
         length = math.hypot(x2 - x1, y2 - y1)
         if length == 0:
@@ -213,7 +220,8 @@ def emit_svg(analysis: Analysis, options: RenderOptions = RenderOptions()) -> st
         px, py = -uy * _SVG_EDGE_GAP, ux * _SVG_EDGE_GAP
         start = (x1 + ux * radius[s1] + px, y1 + uy * radius[s1] + py)
         end = (x2 - ux * (radius[s2] + 4) + px, y2 - uy * (radius[s2] + 4) + py)
-        label = _fmt(arrow.sc, options.decimal_places)
+        if (label := labels.get(id(pair))) is None:
+            label = labels[id(pair)] = _fmt(pair.sc, options.decimal_places)
         mid = ((start[0] + end[0]) / 2 + px, (start[1] + end[1]) / 2 + py)
         lines.append(
             f'  <line x1="{start[0]:.1f}" y1="{start[1]:.1f}" x2="{end[0]:.1f}" y2="{end[1]:.1f}" '

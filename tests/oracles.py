@@ -7,6 +7,7 @@ under test.  Slow and obvious on purpose.
 
 from __future__ import annotations
 
+import statistics
 from pathlib import Path
 
 
@@ -37,6 +38,14 @@ def gwf(edges, services, s1, s2):
 def sc(edges, services, s1, s2):
     d = pair_degree(edges, s1, s2)
     return 1 - (1 / d) * lwf(edges, s1, s2) * gwf(edges, services, s1, s2)
+
+
+def stats(values):
+    """(count, max, avg, median, stdev, total) of a per-pair value list, by the ``statistics`` module."""
+    if not values:
+        return (0, None, None, None, None, None)
+    total = sum(values)
+    return (len(values), max(values), total / len(values), statistics.median(values), statistics.pstdev(values), total)
 
 
 def connected_pairs(edges):

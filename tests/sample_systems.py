@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from mscoupling.graph import DependencyEdge, ServiceGraph, ServiceNode
 
 
@@ -26,3 +28,17 @@ def make_chain3() -> ServiceGraph:
         [ServiceNode("A"), ServiceNode("B"), ServiceNode("C")],
         [DependencyEdge("A", "B"), DependencyEdge("B", "C")],
     )
+
+
+def make_hub(seed: int, services: int = 60) -> ServiceGraph:
+    """Seeded system whose calls mostly go to a few hubs, so many pairs share a degree class."""
+    rng = random.Random(seed)
+    names = [f"svc{i:02d}" for i in range(services)]
+    hubs = names[:4]
+    edges = []
+    for source in names:
+        for _ in range(rng.randint(1, 4)):
+            target = rng.choice(hubs) if rng.random() < 0.7 else rng.choice(names)
+            if target != source:
+                edges.append(DependencyEdge(source, target, weight=rng.choice((1, 1, 1, 2, 3))))
+    return ServiceGraph.build([ServiceNode(name) for name in names], edges)

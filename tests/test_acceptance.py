@@ -73,7 +73,7 @@ def test_builtin_example_reproduces_reference_rows(tmp_path, capsys):
 
 def test_star_anchor_values():
     star = make_star4()
-    pairs = pair_matrix(star)
+    pairs = [pair for _, _, pair in pair_matrix(star)]
     assert len(pairs) == 8
 
     sc_values = sorted(pair.sc for pair in pairs)

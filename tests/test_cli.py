@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from mscoupling import cli, metrics
-from mscoupling.cli import OUTPUT_NAMES, main, run
+from mscoupling.cli import CORPUS_ERRORS, CORPUS_FILES, CORPUS_SUMMARY, OUTPUT_NAMES, main, run
 from mscoupling.graph import ServiceGraph
 
 SINGLE_EDGE_DESCRIPTOR = {
@@ -124,20 +124,21 @@ class TestAnalyze:
         line = capsys.readouterr().out.strip()
         assert line == "pair: services=2 edges=1 siy=0 sc_max=0.50 sc_avg=0.25"
 
-    def test_pair_metrics_evaluated_once_per_pair(self, tmp_path, monkeypatch, capsys):
+    def test_pair_metrics_evaluated_once_per_class(self, tmp_path, monkeypatch, capsys):
         source = write_descriptor(tmp_path, HUB_DESCRIPTOR)
         evaluated = Counter()
         pair_metrics = metrics.pair_metrics
 
         def counting(graph, s1, s2):
-            evaluated[s1, s2] += 1
-            return pair_metrics(graph, s1, s2)
+            pair = pair_metrics(graph, s1, s2)
+            evaluated[pair.outdegree, pair.indegree] += 1
+            return pair
 
         monkeypatch.setattr(metrics, "pair_metrics", counting)
         assert main(["analyze", str(source), "--out", str(tmp_path / "out"), "--emit", "csv,dot,svg"]) == 0
         capsys.readouterr()
-        assert len(evaluated) == 8
-        assert set(evaluated.values()) == {1}
+        # 8 connected pairs fall into 6 (outdegree, indegree) classes: (1, 0) and (0, 1) repeat.
+        assert evaluated == Counter({(1, 2): 1, (2, 1): 1, (3, 0): 1, (0, 3): 1, (1, 0): 1, (0, 1): 1})
 
     def test_node_degree_computed_once_per_service(self, tmp_path, monkeypatch, capsys):
         source = write_descriptor(tmp_path, HUB_DESCRIPTOR)
@@ -502,6 +503,19 @@ class TestCorpus:
         assert errors.startswith("bad: ")
         summary_lines = (out / "corpus_summary.csv").read_text().splitlines()
         assert len(summary_lines) == 2
+
+    @pytest.mark.parametrize("reserved", CORPUS_FILES)
+    def test_project_directory_named_like_a_summary_file_fails_alone(self, tmp_path, capsys, reserved):
+        root = tmp_path / "corpus"
+        write_corpus_project(root, "ok", SINGLE_EDGE_DESCRIPTOR | {"name": "ok"})
+        write_corpus_project(root, reserved, SINGLE_EDGE_DESCRIPTOR | {"name": "clash"})
+        out = tmp_path / "out"
+        assert main(["corpus", str(root), "--out", str(out)]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "1 project(s) analyzed, 1 failed"
+        assert [row["project"] for row in read_rows(out / CORPUS_SUMMARY)] == ["ok"]
+        assert (out / CORPUS_ERRORS).read_text() == (
+            f"{reserved}: project directory name is reserved for the run's own {reserved}\n"
+        )
 
     def test_project_name_with_separator_fails_alone(self, tmp_path, capsys):
         root = tmp_path / "corpus"

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
+from dataclasses import astuple
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -20,11 +22,19 @@ from mscoupling.metrics import (
     service_table,
     structural_coupling,
     summarize,
+    _stats,
 )
 from mscoupling.report import _fmt
+from sample_systems import make_hub
 from strategies import service_graphs
 
 APPROX = dict(rel=None, abs=1e-12)
+# Summary inputs at the edges of the double range: zeros, subnormals, huge values, exact integers.
+_STAT_VALUES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.integers(-(2**53), 2**53).map(float),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300, 2.0**53)),
+)
 
 
 def service_rows(graph):
@@ -107,23 +117,24 @@ class TestPairMatrix:
     def test_edgeless_graph_has_no_pairs(self):
         graph = ServiceGraph.build([ServiceNode("A"), ServiceNode("B")])
         assert pair_matrix(graph) == ()
+        assert pair_matrix(ServiceGraph()) == ()
 
     def test_single_edge_matrix(self, single_edge):
         matrix = pair_matrix(single_edge)
-        assert [(m.s1, m.s2) for m in matrix] == [("A", "B"), ("B", "A")]
-        assert matrix[0].sc == 0.0
-        assert matrix[1].sc == pytest.approx(0.5, **APPROX)
+        assert [(s1, s2) for s1, s2, _ in matrix] == [("A", "B"), ("B", "A")]
+        assert matrix[0][2].sc == 0.0
+        assert matrix[1][2].sc == pytest.approx(0.5, **APPROX)
 
     def test_star_multiset(self, star4):
-        values = sorted(m.sc for m in pair_matrix(star4))
+        values = sorted(m.sc for _, _, m in pair_matrix(star4))
         assert values == pytest.approx([0.75] * 4 + [0.875] * 4, **APPROX)
 
     def test_entries_are_internally_consistent(self, demo):
-        for m in pair_matrix(demo):
+        for s1, s2, m in pair_matrix(demo):
             assert m.degree == m.outdegree + m.indegree
-            assert m.lwf == pytest.approx(pair_metrics(demo, m.s1, m.s2).lwf, **APPROX)
-            assert m.gwf == pytest.approx(pair_metrics(demo, m.s1, m.s2).gwf, **APPROX)
-            assert m.sc == pytest.approx(structural_coupling(demo, m.s1, m.s2), **APPROX)
+            assert m.lwf == pytest.approx(pair_metrics(demo, s1, s2).lwf, **APPROX)
+            assert m.gwf == pytest.approx(pair_metrics(demo, s1, s2).gwf, **APPROX)
+            assert m.sc == pytest.approx(structural_coupling(demo, s1, s2), **APPROX)
 
     def test_pair_metrics_matches_components(self, demo):
         m = pair_metrics(demo, "A", "E")
@@ -207,7 +218,7 @@ class TestServiceLevelMetrics:
 
 class TestSummaries:
     def test_summarize_star_sc(self, star4):
-        summary = summarize(m.sc for m in pair_matrix(star4))
+        summary = summarize(m.sc for _, _, m in pair_matrix(star4))
         assert summary.count == 8
         assert summary.max == pytest.approx(0.875, **APPROX)
         assert summary.avg == pytest.approx(0.8125, **APPROX)
@@ -308,7 +319,7 @@ class TestMetricProperties:
     @given(service_graphs(min_nodes=2, max_edges=40))
     def test_sc_is_one_minus_lwf_over_max_degree(self, graph):
         # gwf = degree / max degree, so the pair's own degree cancels: SC ranks pairs exactly as LWF does.
-        rows = analyze(graph).pairs
+        rows = [pair for _, _, pair in analyze(graph).pairs]
         max_degree = graph.max_node_degree()
         for row in rows:
             assert abs(row.sc - (1 - row.lwf / max_degree)) <= 2 * math.ulp(row.sc)
@@ -359,6 +370,42 @@ class TestMetricProperties:
         assert summary.count == len(values)
         assert summary.max == max(values)
         assert summary.avg == pytest.approx(statistics.fmean(values), abs=1e-9)
-        assert summary.median == pytest.approx(statistics.median(values), abs=1e-9)
-        assert summary.stdev == pytest.approx(statistics.pstdev(values), abs=1e-9)
+        assert summary.median == statistics.median(values)
+        assert summary.stdev == statistics.pstdev(values)
         assert math.isfinite(summary.total)
+
+    @given(st.lists(st.tuples(_STAT_VALUES, st.integers(1, 40)), min_size=1, max_size=12))
+    def test_weighted_core_equals_statistics_module(self, drawn):
+        data = [value for value, multiplicity in drawn for _ in range(multiplicity)]
+        # 0.0 and -0.0 merge into one key; they compare equal, and no metric yields -0.0.
+        summary = _stats(Counter(data), sum(data))
+        assert summary.count == len(data)
+        assert summary.max == max(data)
+        assert summary.median == statistics.median(data)
+        assert summary.stdev == statistics.pstdev(data)
+
+
+class TestPairClasses:
+    @given(service_graphs())
+    @example(make_hub(3))
+    def test_one_shared_pair_metrics_per_class(self, graph):
+        rows = analyze(graph).pairs
+        shared = {}
+        for _, _, pair in rows:
+            assert shared.setdefault((pair.outdegree, pair.indegree), pair) is pair
+        assert len({id(pair) for _, _, pair in rows}) == len(shared)
+
+    @given(service_graphs())
+    @example(make_hub(3))
+    def test_rows_and_summary_match_per_pair_reference(self, graph):
+        analysis = analyze(graph)
+        pairs = graph.connected_pairs()
+        assert [(s1, s2) for s1, s2, _ in analysis.pairs] == list(pairs)
+        for s1, s2, pair in analysis.pairs:
+            assert astuple(pair) == astuple(pair_metrics(graph, s1, s2))
+        summary = project_summary(analysis, "p")
+        for metric in ("degree", "lwf", "gwf", "sc"):
+            values = [float(getattr(pair_metrics(graph, s1, s2), metric)) for s1, s2 in pairs]
+            assert repr(astuple(getattr(summary, metric))) == repr(oracles.stats(values))
+        cbm = [row.cbm for row in analysis.services if row.cbm is not None]
+        assert repr(astuple(summary.cbm)) == repr(oracles.stats(cbm))

@@ -9,6 +9,7 @@ from xml.dom import minidom
 import pytest
 from hypothesis import given
 
+from mscoupling import report
 from mscoupling.errors import EmptyGraph, ValidationError
 from mscoupling.graph import DependencyEdge, ServiceGraph, ServiceNode
 from mscoupling.metrics import analyze, project_summary
@@ -24,6 +25,8 @@ from mscoupling.report import (
     emit_svg,
     node_size,
 )
+from mscoupling.sample import sample_graph
+from sample_systems import make_hub, make_star4
 from strategies import service_graphs
 
 
@@ -311,3 +314,26 @@ class TestSvg:
     def test_every_service_drawn(self, graph):
         text = emit_svg(analyze(graph))
         assert text.count("<circle") == len(graph.service_ids)
+
+
+class TestPairClassFormatting:
+    @pytest.mark.parametrize("graph", [make_star4(), sample_graph(), make_hub(3)], ids=["star4", "demo", "hub"])
+    def test_fmt_runs_once_per_class_and_metric(self, graph, monkeypatch):
+        analysis = analyze(graph)
+        classes = {id(pair): pair for _, _, pair in analysis.pairs}
+        arrow_classes = sum(1 for pair in classes.values() if pair.outdegree)
+        assert len(classes) < len(analysis.pairs)
+        calls = []
+        fmt = report._fmt
+        monkeypatch.setattr(report, "_fmt", lambda value, places: calls.append(value) or fmt(value, places))
+
+        def formatted(emit, *args):
+            calls.clear()
+            emit(analysis, *args)
+            return len(calls)
+
+        for metric in PAIR_METRICS:
+            assert formatted(emit_pair_matrix_csv, metric) == len(classes)
+        # DOT also prints each node's size; each arrow class prints its label and pen width.
+        assert formatted(emit_dot) == len(analysis.services) + 2 * arrow_classes
+        assert formatted(emit_svg) == arrow_classes
