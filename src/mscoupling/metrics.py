@@ -245,12 +245,13 @@ def project_summary(analysis: Analysis, project_name: str) -> ProjectSummary:
     avg stay a float sum in pair order, as float addition depends on order.
     """
     pairs = list(map(itemgetter(2), analysis.pairs))
-    classes = Counter(pairs)
+    instances = dict(zip(map(id, pairs), pairs))  # counting by id skips hashing each row's fields
+    classes = [(instances[key], n) for key, n in Counter(map(id, pairs)).items()]
 
     def pair_stats(metric: str) -> StatSummary:
         value = attrgetter(metric)
         counts: Counter[float] = Counter()
-        for pair, multiplicity in classes.items():
+        for pair, multiplicity in classes:
             counts[float(value(pair))] += multiplicity
         return _stats(counts, sum(map(float, map(value, pairs))))
 
@@ -262,5 +263,5 @@ def project_summary(analysis: Analysis, project_name: str) -> ProjectSummary:
         sc=pair_stats("sc"),
         cbm=summarize(m.cbm for m in analysis.services if m.cbm is not None),
         # A mutual pair shows as two rows, (s1, s2) and (s2, s1).
-        siy=sum(n for pair, n in classes.items() if pair.outdegree and pair.indegree) // 2,
+        siy=sum(n for pair, n in classes if pair.outdegree and pair.indegree) // 2,
     )

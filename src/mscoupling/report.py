@@ -7,7 +7,8 @@ byte-identical CSV/DOT/SVG output.  Counts (degrees, AIS/ADS/ACS, SIY)
 are printed as plain integers; real-valued metrics (LWF/GWF/SC/CBM and
 all summary statistics) use ``decimal_places`` digits; undefined is blank.
 Pair rows of one class share one ``PairMetrics``, so each emitter call
-formats a pair value once per class, keyed by that object's ``id``.
+formats a pair value once per class, keyed by that object's ``id``.  A matrix
+row is its connected cells joined by runs cut from one shared comma string.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
-from operator import itemgetter
 
 from .errors import EmptyGraph, ValidationError
 from .graph import ServiceId
@@ -89,22 +88,30 @@ def _dot_id(service: ServiceId) -> str:
 
 
 def emit_pair_matrix_csv(analysis: Analysis, metric: str, options: RenderOptions = RenderOptions()) -> str:
-    """n x n matrix of one pair metric; diagonal and unconnected cells empty."""
+    """n x n matrix of one pair metric, blank where unconnected; ValueError if pairs leave (s1, s2) order."""
     if metric not in PAIR_METRICS:
         raise ValueError(f"metric must be one of {PAIR_METRICS}, got {metric!r}")
     services = analysis.graph.service_ids
-    column = {service: index for index, service in enumerate(services)}
-    row_pairs = {s1: tuple(rows) for s1, rows in groupby(analysis.pairs, itemgetter(0))}
+    column = {service: index for index, service in enumerate(services, 1)}  # its cell follows comma `index`
+    commas = "," * len(services)
+    pairs = iter(analysis.pairs)
+    s1, s2, pair = next(pairs, (None, None, None))
     text: dict[int, str] = {}
     lines = ["service," + ",".join(services)]
     for row in services:
-        cells = [""] * len(services)
-        for _, s2, pair in row_pairs.get(row, ()):
+        cells, done = [row], 0
+        while s1 == row and (col := column.get(s2, 0)) > done:
             if (cell := text.get(id(pair))) is None:
                 cell = text[id(pair)] = _fmt(getattr(pair, metric), options.decimal_places)
-            cells[column[s2]] = cell
-        lines.append(row + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+            cells += commas[: col - done], cell
+            done = col
+            s1, s2, pair = next(pairs, (None, None, None))
+        cells.append(commas[done:])
+        lines.append("".join(cells))
+    if s1 is not None:
+        raise ValueError(f"pair ({s1!r}, {s2!r}) is not in (s1, s2) order or names no service")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def emit_service_metrics_csv(analysis: Analysis, options: RenderOptions = RenderOptions()) -> str:
@@ -116,7 +123,8 @@ def emit_service_metrics_csv(analysis: Analysis, options: RenderOptions = Render
             f"{row.id},{row.indegree},{row.outdegree},{row.degree},{_fmt(row.class_count, places)},"
             f"{_fmt(node.loc, places)},{_fmt(row.cbm, places)},{row.ais},{row.ads},{row.acs}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 _SUMMARY_GROUPS = ("degree", "sc", "cbm", "lwf", "gwf")
@@ -138,7 +146,8 @@ def emit_summary_csv(
             cells.extend(_fmt(getattr(stats, stat), options.decimal_places) for stat in _SUMMARY_STATS)
         cells.append(str(summary.siy))
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def emit_dot(analysis: Analysis, options: RenderOptions = RenderOptions()) -> str:
@@ -149,10 +158,11 @@ def emit_dot(analysis: Analysis, options: RenderOptions = RenderOptions()) -> st
     tightly coupled pairs stand out.
     """
     lines = ["digraph coupling {", "    node [style=filled];"]
+    quoted = {row.id: _dot_id(row.id) for row in analysis.services}
     for row in analysis.services:
         color = classify(analysis, row, options).value
         size = _fmt(node_size(analysis, row), 2)
-        lines.append(f"    {_dot_id(row.id)} [fillcolor={color}, width={size}, height={size}];")
+        lines.append(f"    {quoted[row.id]} [fillcolor={color}, width={size}, height={size}];")
     attributes: dict[int, str] = {}
     for s1, s2, pair in analysis.pairs:
         if pair.outdegree == 0:
@@ -160,9 +170,9 @@ def emit_dot(analysis: Analysis, options: RenderOptions = RenderOptions()) -> st
         if (text := attributes.get(id(pair))) is None:
             label, penwidth = _fmt(pair.sc, options.decimal_places), _fmt(1 + 3 * pair.sc, 2)
             text = attributes[id(pair)] = f'label="{label}", penwidth={penwidth}'
-        lines.append(f"    {_dot_id(s1)} -> {_dot_id(s2)} [{text}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"    {quoted[s1]} -> {quoted[s2]} [{text}];")
+    lines += "}", ""
+    return "\n".join(lines)
 
 
 # SVG layout constants: nodes sit on a fixed circle, sized in pixels.
@@ -208,27 +218,26 @@ def emit_svg(analysis: Analysis, options: RenderOptions = RenderOptions()) -> st
     ]
 
     labels: dict[int, str] = {}
+    hypot = math.hypot
     for s1, s2, pair in analysis.pairs:
         if pair.outdegree == 0:
             continue
         (x1, y1), (x2, y2) = position[s1], position[s2]
-        length = math.hypot(x2 - x1, y2 - y1)
-        if length == 0:
+        dx, dy = x2 - x1, y2 - y1
+        if (length := hypot(dx, dy)) == 0:
             continue
-        ux, uy = (x2 - x1) / length, (y2 - y1) / length
+        ux, uy = dx / length, dy / length
         # shift each direction to its own side so opposite arrows don't overlap
         px, py = -uy * _SVG_EDGE_GAP, ux * _SVG_EDGE_GAP
-        start = (x1 + ux * radius[s1] + px, y1 + uy * radius[s1] + py)
-        end = (x2 - ux * (radius[s2] + 4) + px, y2 - uy * (radius[s2] + 4) + py)
+        sx, sy = x1 + ux * radius[s1] + px, y1 + uy * radius[s1] + py
+        ex, ey = x2 - ux * (radius[s2] + 4) + px, y2 - uy * (radius[s2] + 4) + py
         if (label := labels.get(id(pair))) is None:
             label = labels[id(pair)] = _fmt(pair.sc, options.decimal_places)
-        mid = ((start[0] + end[0]) / 2 + px, (start[1] + end[1]) / 2 + py)
-        lines.append(
-            f'  <line x1="{start[0]:.1f}" y1="{start[1]:.1f}" x2="{end[0]:.1f}" y2="{end[1]:.1f}" '
-            'stroke="#333333" stroke-width="1.5" marker-end="url(#arrow)"/>'
-        )
-        lines.append(
-            f'  <text x="{mid[0]:.1f}" y="{mid[1]:.1f}" text-anchor="middle" font-size="11">{label}</text>'
+        lines += (
+            f'  <line x1="{sx:.1f}" y1="{sy:.1f}" x2="{ex:.1f}" y2="{ey:.1f}" '
+            'stroke="#333333" stroke-width="1.5" marker-end="url(#arrow)"/>',
+            f'  <text x="{(sx + ex) / 2 + px:.1f}" y="{(sy + ey) / 2 + py:.1f}" '
+            f'text-anchor="middle" font-size="11">{label}</text>',
         )
 
     for row in analysis.services:
@@ -243,5 +252,5 @@ def emit_svg(analysis: Analysis, options: RenderOptions = RenderOptions()) -> st
             f'  <text x="{x:.1f}" y="{y:.1f}" dy="0.35em" text-anchor="middle" font-size="12">{text}</text>'
         )
 
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines += "</svg>", ""
+    return "\n".join(lines)

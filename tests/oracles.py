@@ -2,7 +2,8 @@
 
 Everything here works directly on a raw ``(source, target, weight)``
 edge list plus the service name list, sharing no code with the package
-under test.  Slow and obvious on purpose.
+under test.  Slow and obvious on purpose.  The one exception,
+``pair_matrix_csv``, re-lays an analysis's pair rows as a dense table.
 """
 
 from __future__ import annotations
@@ -46,6 +47,19 @@ def stats(values):
         return (0, None, None, None, None, None)
     total = sum(values)
     return (len(values), max(values), total / len(values), statistics.median(values), statistics.pstdev(values), total)
+
+
+def pair_matrix_csv(analysis, metric, places):
+    """One pair metric as an n x n CSV: a list of n cells per row, filled from the pair rows."""
+    services = analysis.graph.service_ids
+    column = {service: index for index, service in enumerate(services)}
+    rows = {service: [""] * len(services) for service in services}
+    for s1, s2, pair in analysis.pairs:
+        value = getattr(pair, metric)
+        rows[s1][column[s2]] = f"{value:.{places}f}" if isinstance(value, float) else str(value)
+    lines = ["service," + ",".join(services)]
+    lines.extend(service + "," + ",".join(rows[service]) for service in services)
+    return "".join(line + "\n" for line in lines)
 
 
 def connected_pairs(edges):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 from xml.dom import minidom
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from mscoupling import report
 from mscoupling.errors import EmptyGraph, ValidationError
 from mscoupling.graph import DependencyEdge, ServiceGraph, ServiceNode
@@ -160,6 +163,52 @@ class TestPairMatrixCsv:
             count = len(graph.service_ids)
             assert len(lines) == count + 1
             assert all(line.count(",") == count for line in lines)
+
+    @given(service_graphs(max_nodes=8), st.booleans())
+    def test_matches_dense_oracle(self, graph, isolated_ends):
+        if isolated_ends:  # "a" and "z" sort around every "s<i>", so the first and last rows are empty
+            nodes = [ServiceNode("a"), *graph.nodes, ServiceNode("z")]
+            graph = ServiceGraph(tuple(nodes), graph.edges)
+        analysis = analyze(graph)
+        for places in (0, 2, 17):
+            options = RenderOptions(decimal_places=places)
+            for metric in PAIR_METRICS:
+                assert emit_pair_matrix_csv(analysis, metric, options) == oracles.pair_matrix_csv(
+                    analysis, metric, places
+                )
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_hub_matches_dense_oracle(self, seed):
+        analysis = analyze(make_hub(seed, 300))
+        for metric in PAIR_METRICS:
+            assert emit_pair_matrix_csv(analysis, metric) == oracles.pair_matrix_csv(analysis, metric, 2)
+
+    def test_edgeless_rows_are_id_and_all_commas(self):
+        graph = ServiceGraph.build([ServiceNode(f"svc{i:04d}") for i in range(2000)])
+        lines = emit_pair_matrix_csv(analyze(graph), "sc").split("\n")
+        assert lines[-1] == ""
+        assert lines[1:-1] == [f"svc{i:04d}" + "," * 2000 for i in range(2000)]
+
+    @pytest.mark.parametrize(
+        "reorder",
+        [
+            lambda pairs: pairs[::-1],
+            lambda pairs: pairs[1:2] + pairs[:1] + pairs[2:],
+            lambda pairs: pairs[:1] + pairs,
+            lambda pairs: pairs + pairs[:1],
+            lambda pairs: ((pairs[0][0], "zz-foreign", pairs[0][2]),) + pairs,
+            lambda pairs: (("0-foreign", *pairs[0][1:]),) + pairs,
+            lambda pairs: pairs + (("zz-foreign", *pairs[0][1:]),),
+        ],
+        ids=["reversed", "row-swapped", "repeat-first", "repeat-last", "foreign-column", "foreign-row-first",
+             "foreign-row-last"],
+    )
+    def test_pairs_out_of_order_rejected(self, star4, reorder):
+        analysis = analyze(star4)
+        assert analysis.pairs[0][0] == analysis.pairs[1][0] == "hub"
+        bad = dataclasses.replace(analysis, pairs=reorder(analysis.pairs))
+        with pytest.raises(ValueError, match=r"not in \(s1, s2\) order"):
+            emit_pair_matrix_csv(bad, "sc")
 
 
 class TestServiceMetricsCsv:
