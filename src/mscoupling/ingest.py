@@ -246,8 +246,8 @@ def count_source_units(directory: Path) -> int:
     unreadable subdirectories are skipped (as ``Path.rglob`` does).
     """
     directory = Path(directory)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"not a directory: {directory}")
+    if not os.path.isdir(directory):  # False, not an OSError, for a name too long to stat
+        raise FileNotFoundError(f"not a directory: {_shown(str(directory))}")
     count, pending = 0, [directory]
     while pending:
         try:
@@ -272,16 +272,20 @@ def build_graph(descriptor: ProjectDescriptor, base_dir: Path | None = None) -> 
 
     When ``base_dir`` is given, a service without a class count but with
     a ``source_dirs`` entry gets the number of source files under
-    ``base_dir / source_dir`` as its class count.
+    ``base_dir / source_dir`` as its class count; FileNotFoundError,
+    naming the service, if that is not a directory.
     """
-    nodes = descriptor.services
+    nodes = list(descriptor.services)
     if base_dir is not None:
-        nodes = tuple(
-            replace(node, class_count=count_source_units(Path(base_dir) / descriptor.source_dirs[node.id]))
-            if node.class_count is None and node.id in descriptor.source_dirs
-            else node
-            for node in nodes
-        )
+        for i, node in enumerate(nodes):
+            source_dir = descriptor.source_dirs.get(node.id)
+            if node.class_count is None and source_dir is not None:
+                directory = Path(base_dir) / source_dir
+                if not os.path.isdir(directory):
+                    raise FileNotFoundError(
+                        f"service {_shown(node.id)}: source_dir {_shown(source_dir)} is not a directory"
+                    )
+                nodes[i] = replace(node, class_count=count_source_units(directory))
     return ServiceGraph.build(nodes, descriptor.edges)
 
 

@@ -20,8 +20,9 @@ of mutually dependent pairs.  :func:`analyze` builds the pair and service tables
 Every pair value depends only on the pair's ``(outdegree, indegree)``
 class and the graph's max node degree, and a project has far fewer
 classes than pairs.  So the pair table holds ``(s1, s2, PairMetrics)``
-rows that share one :class:`PairMetrics` per class, and the summaries
-run over the class multiplicities.
+rows that share one :class:`PairMetrics` per class.  The summaries run
+over the rows in pair order; their stdev is exact and matches
+``statistics.pstdev`` bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import UnconnectedPair
 from .graph import ServiceGraph, ServiceId
@@ -185,27 +186,19 @@ def analyze(graph: ServiceGraph) -> Analysis:
 
 
 def summarize(values: Iterable[float]) -> StatSummary:
-    """Max/avg/median/stdev/total over the values.
+    """Max/avg/median/stdev/total over the values, in their order.
 
     The median of an even-length sample is the mean of the two middle
     values and the standard deviation is the population one (divide by
     count), so a single value summarizes to stdev 0 rather than being
-    undefined.
+    undefined.  Max, median and stdev equal ``max``, ``statistics.median``
+    and ``statistics.pstdev`` bit for bit: the first two read the sorted
+    values, and the stdev is exact.  Total is the float sum in order.
     """
-    data = [float(v) for v in values]
-    return _stats(Counter(data), sum(data))
-
-
-def _stats(counts: Mapping[float, int], total: float) -> StatSummary:
-    """Summary of the multiset ``{value: multiplicity}`` whose float sum in data order is ``total``.
-
-    Max, median and stdev equal ``max``, ``statistics.median`` and
-    ``statistics.pstdev`` of the data bit for bit: the first two read the
-    sorted values, and the stdev is exact.
-    """
-    if not counts:
+    data = list(map(float, values))
+    if not data:
         return StatSummary(count=0)
-    values, multiplicities = zip(*sorted(counts.items()))
+    values, multiplicities = zip(*sorted(Counter(data).items()))
     ends = list(accumulate(multiplicities))  # ends[i] data points are at most values[i]
     count = ends[-1]
     low, high = (values[bisect_right(ends, k)] for k in ((count - 1) // 2, count // 2))
@@ -216,6 +209,7 @@ def _stats(counts: Mapping[float, int], total: float) -> StatSummary:
     xs = [n * (scale // d) for n, d in ratios]
     linear = sum(m * x for m, x in zip(multiplicities, xs))
     square = sum(m * x * x for m, x in zip(multiplicities, xs))
+    total = sum(data)
     return StatSummary(
         count=count,
         max=values[-1],
@@ -239,29 +233,15 @@ def _sqrt_of_fraction(n: int, m: int) -> float:
 
 
 def project_summary(analysis: Analysis, project_name: str) -> ProjectSummary:
-    """Descriptive statistics of all pair and service metrics for a project.
-
-    Max, median and stdev run over the class multiplicities; total and
-    avg stay a float sum in pair order, as float addition depends on order.
-    """
+    """Descriptive statistics of all pair and service metrics for a project, over the rows in pair order."""
     pairs = list(map(itemgetter(2), analysis.pairs))
-    instances = dict(zip(map(id, pairs), pairs))  # counting by id skips hashing each row's fields
-    classes = [(instances[key], n) for key, n in Counter(map(id, pairs)).items()]
-
-    def pair_stats(metric: str) -> StatSummary:
-        value = attrgetter(metric)
-        counts: Counter[float] = Counter()
-        for pair, multiplicity in classes:
-            counts[float(value(pair))] += multiplicity
-        return _stats(counts, sum(map(float, map(value, pairs))))
-
     return ProjectSummary(
         project_name=project_name,
-        degree=pair_stats("degree"),
-        lwf=pair_stats("lwf"),
-        gwf=pair_stats("gwf"),
-        sc=pair_stats("sc"),
+        degree=summarize(map(attrgetter("degree"), pairs)),
+        lwf=summarize(map(attrgetter("lwf"), pairs)),
+        gwf=summarize(map(attrgetter("gwf"), pairs)),
+        sc=summarize(map(attrgetter("sc"), pairs)),
         cbm=summarize(m.cbm for m in analysis.services if m.cbm is not None),
         # A mutual pair shows as two rows, (s1, s2) and (s2, s1).
-        siy=sum(n for pair, n in classes if pair.outdegree and pair.indegree) // 2,
+        siy=sum(1 for pair in pairs if pair.outdegree and pair.indegree) // 2,
     )

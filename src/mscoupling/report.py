@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EmptyGraph, ValidationError
-from .graph import ServiceId
+from .errors import EmptyGraph, ValidationError, _shown
+from .graph import ServiceId, _is_int
 from .metrics import Analysis, ProjectSummary, ServiceMetrics
 
 PAIR_METRICS = ("degree", "lwf", "gwf", "sc")
@@ -42,13 +42,14 @@ class RenderOptions:
     decimal_places: int = 2
 
     def __post_init__(self):
-        if not 0 < self.hub_fraction <= 1:
-            raise ValidationError(f"hub_fraction must be in (0, 1], got {self.hub_fraction!r}")
-        if not isinstance(self.hub_min_degree, int) or self.hub_min_degree < 0:
-            raise ValidationError(f"hub_min_degree must be a non-negative integer, got {self.hub_min_degree!r}")
+        fraction = self.hub_fraction
+        if not (isinstance(fraction, (int, float)) and not isinstance(fraction, bool) and 0 < fraction <= 1):
+            raise ValidationError(f"hub_fraction must be a number in (0, 1], got {_shown(fraction)}")
+        if not _is_int(self.hub_min_degree) or self.hub_min_degree < 0:
+            raise ValidationError(f"hub_min_degree must be a non-negative integer, got {_shown(self.hub_min_degree)}")
         # a double carries at most 17 significant digits
-        if not isinstance(self.decimal_places, int) or not 0 <= self.decimal_places <= 17:
-            raise ValidationError(f"decimal_places must be an integer in [0, 17], got {self.decimal_places!r}")
+        if not _is_int(self.decimal_places) or not 0 <= self.decimal_places <= 17:
+            raise ValidationError(f"decimal_places must be an integer in [0, 17], got {_shown(self.decimal_places)}")
 
 
 def classify(analysis: Analysis, row: ServiceMetrics, options: RenderOptions = RenderOptions()) -> ColorClass:

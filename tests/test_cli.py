@@ -215,6 +215,19 @@ class TestAnalyze:
         assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 1
         assert len(capsys.readouterr().err) < 1024
 
+    @pytest.mark.parametrize(
+        "source_dir", ["x" * 5000, "a/" * 2500, "gone"], ids=["long-name", "long-path", "missing"]
+    )
+    def test_missing_source_dir_names_the_service_and_stays_short(self, tmp_path, capsys, source_dir):
+        document = {"name": "p", "services": [{"id": "a", "source_dir": source_dir}]}
+        out = tmp_path / "out"
+        assert main(["analyze", str(write_descriptor(tmp_path, document)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: service 'a': source_dir '")
+        assert err.endswith(" is not a directory\n")
+        assert len(err) < 200
+        assert not out.exists()
+
     def test_format_override(self, tmp_path):
         source = tmp_path / "edges.txt"
         source.write_text("source,target\nA,B\n")
@@ -517,6 +530,20 @@ class TestCorpus:
             f"{reserved}: project directory name is reserved for the run's own {reserved}\n"
         )
 
+    def test_source_dir_cannot_forge_an_error_line(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        write_corpus_project(root, "good", SINGLE_EDGE_DESCRIPTOR | {"name": "good"})
+        for dir_name, source_dir in (("forged", "gone\nfake-project: injected line"), ("long", "x" * 5000)):
+            document = {"name": dir_name, "services": [{"id": "a", "source_dir": source_dir}]}
+            write_corpus_project(root, dir_name, document)
+        out = tmp_path / "out"
+        assert main(["corpus", str(root), "--out", str(out)]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "1 project(s) analyzed, 2 failed"
+        errors = (out / CORPUS_ERRORS).read_text().splitlines()
+        assert [line.split(":", 1)[0] for line in errors] == ["forged", "long"]
+        assert errors[0] == "forged: service 'a': source_dir 'gone\\nfake-project: injected line' is not a directory"
+        assert len(errors[1]) < 200
+
     def test_project_name_with_separator_fails_alone(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         write_corpus_project(root, "bad", SINGLE_EDGE_DESCRIPTOR | {"name": "a,b\nc"})
@@ -766,3 +793,15 @@ class TestArgumentHandling:
         completed = run_module("example", "--out", str(out))
         assert completed.returncode == 0, completed.stderr
         assert (out / "graph.dot").is_file()
+
+
+class TestReadme:
+    def test_library_example_runs(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        library = readme.split("\n## Library\n", 1)[1]
+        code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+        completed = run_python("-c", code)
+        assert completed.returncode == 0, completed.stderr
+        sc, sc_max, dot = completed.stdout.decode().split("\n", 2)
+        assert 0 <= float(sc) <= float(sc_max) < 1
+        assert dot.startswith("digraph")

@@ -344,6 +344,11 @@ class TestSourceCounting:
         with pytest.raises(FileNotFoundError):
             count_source_units(tmp_path / "absent")
 
+    def test_name_too_long_to_stat_is_missing_and_echoed_short(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="^not a directory: ") as caught:
+            count_source_units(tmp_path / ("x" * 5000))
+        assert len(str(caught.value)) < 100
+
     def test_matches_rglob_on_links_and_odd_names(self, tmp_path):
         tree, outside = tmp_path / "tree", tmp_path / "outside"
         (tree / "src" / "main" / "Dir.java").mkdir(parents=True)

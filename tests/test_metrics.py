@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import astuple
 
 import pytest
@@ -22,7 +21,6 @@ from mscoupling.metrics import (
     service_table,
     structural_coupling,
     summarize,
-    _stats,
 )
 from mscoupling.report import _fmt
 from sample_systems import make_hub
@@ -378,11 +376,12 @@ class TestMetricProperties:
     def test_weighted_core_equals_statistics_module(self, drawn):
         data = [value for value, multiplicity in drawn for _ in range(multiplicity)]
         # 0.0 and -0.0 merge into one key; they compare equal, and no metric yields -0.0.
-        summary = _stats(Counter(data), sum(data))
+        summary = summarize(data)
         assert summary.count == len(data)
         assert summary.max == max(data)
         assert summary.median == statistics.median(data)
         assert summary.stdev == statistics.pstdev(data)
+        assert summary.total == sum(data)
 
 
 class TestPairClasses:

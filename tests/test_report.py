@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 from xml.dom import minidom
 
 import pytest
@@ -66,6 +67,15 @@ class TestRenderOptions:
             {"hub_min_degree": 2.5},
             {"decimal_places": -1},
             {"decimal_places": 18},
+            # bools and non-numbers, which no range check can catch
+            {"decimal_places": True},
+            {"decimal_places": 2.0},
+            {"decimal_places": "2"},
+            {"hub_min_degree": True},
+            {"hub_fraction": True},
+            {"hub_fraction": "x"},
+            {"hub_fraction": None},
+            {"hub_fraction": math.nan},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
@@ -74,6 +84,9 @@ class TestRenderOptions:
 
     def test_decimal_places_up_to_double_precision(self):
         assert RenderOptions(decimal_places=17).decimal_places == 17
+
+    def test_integer_hub_fraction_accepted(self):
+        assert RenderOptions(hub_fraction=1).hub_fraction == 1
 
 
 class TestClassification:
