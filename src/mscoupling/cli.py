@@ -18,11 +18,10 @@ import contextlib
 import functools
 import os
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import metrics, report
-from .errors import CouplingError, ValidationError
+from .errors import CouplingError, ValidationError, _shown
 from .graph import ServiceGraph
 from .ingest import FORMATS, load_corpus, load_project
 from .metrics import Analysis, ProjectSummary
@@ -48,16 +47,6 @@ OUTPUT_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    input_path: Path | None
-    out_dir: Path
-    emit: tuple[str, ...]
-    fmt: str
-    options: RenderOptions
-    jobs: int = 1
-
-
 def _parse_emit(text: str) -> tuple[str, ...]:
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
@@ -79,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--decimal-places", type=int, default=2, metavar="N")
     common.add_argument("--hub-fraction", type=float, default=0.6, metavar="F")
     common.add_argument("--hub-min-degree", type=int, default=3, metavar="N")
-    common.set_defaults(input=None, fmt="auto", jobs=1)
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", dest="fmt", choices=FORMATS, default="auto")
@@ -98,24 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("input", type=Path)
     render.set_defaults(run=cmd_render)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    options = RenderOptions(
-        hub_fraction=args.hub_fraction,
-        hub_min_degree=args.hub_min_degree,
-        decimal_places=args.decimal_places,
-    )
-    if args.jobs < 1:
-        raise ValidationError("--jobs must be at least 1")
-    return CliConfig(
-        input_path=args.input,
-        out_dir=args.out,
-        emit=_parse_emit(args.emit),
-        fmt=args.fmt,
-        options=options,
-        jobs=args.jobs,
-    )
 
 
 def _write_files(out_dir: Path, files: dict[str, str], owned: tuple[str, ...]) -> None:
@@ -154,72 +124,78 @@ def _summary_line(graph: ServiceGraph, summary: ProjectSummary, options: RenderO
     )
 
 
-def _write_outputs(analysis: Analysis, config: CliConfig, summary: ProjectSummary | None = None) -> None:
-    """Write the outputs named in ``config.emit`` to ``config.out_dir``; csv needs ``summary``.
+def _write_outputs(
+    analysis: Analysis, out_dir: Path, emit: tuple[str, ...], options: RenderOptions, summary: ProjectSummary | None = None
+) -> None:
+    """Write the outputs named in ``emit`` to ``out_dir``; csv needs ``summary``.
 
     Every text is computed before anything is written, and outputs of an
     earlier run that this one did not produce are removed afterwards.
     """
     files: dict[str, str] = {}
-    if "csv" in config.emit:
-        files["service_metrics.csv"] = report.emit_service_metrics_csv(analysis, config.options)
+    if "csv" in emit:
+        files["service_metrics.csv"] = report.emit_service_metrics_csv(analysis, options)
         for metric in report.PAIR_METRICS:
-            files[f"pair_{metric}.csv"] = report.emit_pair_matrix_csv(analysis, metric, config.options)
-        files["summary.csv"] = report.emit_summary_csv([summary], config.options)
-    if "dot" in config.emit:
-        files["graph.dot"] = report.emit_dot(analysis, config.options)
-    if "svg" in config.emit:
-        files["graph.svg"] = report.emit_svg(analysis, config.options)
-    _write_files(config.out_dir, files, OUTPUT_NAMES)
+            files[f"pair_{metric}.csv"] = report.emit_pair_matrix_csv(analysis, metric, options)
+        files["summary.csv"] = report.emit_summary_csv([summary], options)
+    if "dot" in emit:
+        files["graph.dot"] = report.emit_dot(analysis, options)
+    if "svg" in emit:
+        files["graph.svg"] = report.emit_svg(analysis, options)
+    _write_files(out_dir, files, OUTPUT_NAMES)
 
 
-def _analyze_graph(graph: ServiceGraph, name: str, config: CliConfig) -> tuple[ProjectSummary, str]:
+def _analyze_graph(
+    graph: ServiceGraph, name: str, out_dir: Path, emit: tuple[str, ...], options: RenderOptions
+) -> tuple[ProjectSummary, str]:
     """Write the full analysis; return the project summary and its summary line."""
     analysis = metrics.analyze(graph)
     summary = metrics.project_summary(analysis, name)
-    _write_outputs(analysis, config, summary)
-    return summary, _summary_line(graph, summary, config.options)
+    _write_outputs(analysis, out_dir, emit, options, summary)
+    return summary, _summary_line(graph, summary, options)
 
 
-def cmd_analyze(config: CliConfig) -> int:
-    graph, descriptor = load_project(config.input_path, config.fmt)
-    print(_analyze_graph(graph, descriptor.name, config)[1])
+def cmd_analyze(args: argparse.Namespace, emit: tuple[str, ...], options: RenderOptions) -> int:
+    graph, descriptor = load_project(args.input, args.fmt)
+    print(_analyze_graph(graph, descriptor.name, args.out, emit, options)[1])
     return EXIT_OK
 
 
-def cmd_example(config: CliConfig) -> int:
-    print(_analyze_graph(sample_graph(), SAMPLE_PROJECT_NAME, config)[1])
+def cmd_example(args: argparse.Namespace, emit: tuple[str, ...], options: RenderOptions) -> int:
+    print(_analyze_graph(sample_graph(), SAMPLE_PROJECT_NAME, args.out, emit, options)[1])
     return EXIT_OK
 
 
-def cmd_render(config: CliConfig) -> int:
-    graph, _ = load_project(config.input_path, config.fmt)
-    emit = tuple(target for target in config.emit if target in ("dot", "svg"))
+def cmd_render(args: argparse.Namespace, emit: tuple[str, ...], options: RenderOptions) -> int:
+    graph, _ = load_project(args.input, args.fmt)
+    emit = tuple(target for target in emit if target in ("dot", "svg"))
     if not emit:
         raise ValidationError("render emits only dot/svg; pass --emit dot,svg")
-    _write_outputs(metrics.analyze(graph), replace(config, emit=emit))
+    _write_outputs(metrics.analyze(graph), args.out, emit, options)
     return EXIT_OK
 
 
-def _process_corpus_project(descriptor_path: Path, config: CliConfig):
+def _process_corpus_project(descriptor_path: Path, out_dir: Path, emit: tuple[str, ...], options: RenderOptions):
     """Analyze one corpus project; returns (dir_name, summary, line, error)."""
     dir_name = descriptor_path.parent.name
     if dir_name in CORPUS_FILES:  # its output directory would take the summary file's path
         return dir_name, None, None, f"project directory name is reserved for the run's own {dir_name}"
     try:
         graph, descriptor = load_project(descriptor_path, "descriptor")
-        summary, line = _analyze_graph(graph, descriptor.name, replace(config, out_dir=config.out_dir / dir_name))
+        summary, line = _analyze_graph(graph, descriptor.name, out_dir / dir_name, emit, options)
         return dir_name, summary, line, None
     except (CouplingError, OSError) as exc:
         return dir_name, None, None, str(exc)
 
 
-def cmd_corpus(config: CliConfig) -> int:
-    projects = load_corpus(config.input_path)
+def cmd_corpus(args: argparse.Namespace, emit: tuple[str, ...], options: RenderOptions) -> int:
+    if args.jobs < 1:
+        raise ValidationError("--jobs must be at least 1")
+    projects = load_corpus(args.input)
     # The summary pair commits the run: removed before any project runs, written as its last act.
-    _write_files(config.out_dir, {}, CORPUS_FILES)
-    worker = functools.partial(_process_corpus_project, config=config)
-    workers = min(config.jobs, len(projects))
+    _write_files(args.out, {}, CORPUS_FILES)
+    worker = functools.partial(_process_corpus_project, out_dir=args.out, emit=emit, options=options)
+    workers = min(args.jobs, len(projects))
     if workers <= 1:
         results = list(map(worker, projects))
     else:
@@ -231,7 +207,7 @@ def cmd_corpus(config: CliConfig) -> int:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(worker, projects))
         except BrokenProcessPool:
-            print(f"error: corpus {config.input_path}: a worker process died before the run finished", file=sys.stderr)
+            print(f"error: corpus {args.input}: a worker process died before the run finished", file=sys.stderr)
             return EXIT_IO
 
     analyzed: dict[str, tuple[ProjectSummary, str]] = {}
@@ -242,14 +218,15 @@ def cmd_corpus(config: CliConfig) -> int:
         if error is None:
             analyzed[summary.project_name] = summary, line
         else:
-            failures.append(f"{dir_name}: {error}\n")
-            _write_files(config.out_dir / dir_name, {}, OUTPUT_NAMES)
+            # A name that is not printable could forge a line of its own: it is echoed escaped.
+            failures.append(f"{dir_name if dir_name.isprintable() else _shown(dir_name)}: {error}\n")
+            _write_files(args.out / dir_name, {}, OUTPUT_NAMES)
 
     records = [analyzed[name] for name in sorted(analyzed)]
-    files = {CORPUS_SUMMARY: report.emit_summary_csv([summary for summary, _ in records], config.options)}
+    files = {CORPUS_SUMMARY: report.emit_summary_csv([summary for summary, _ in records], options)}
     if failures:
         files[CORPUS_ERRORS] = "".join(failures)
-    _write_files(config.out_dir, files, CORPUS_FILES)
+    _write_files(args.out, files, CORPUS_FILES)
 
     for _, line in records:
         print(line)
@@ -264,7 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
-        return args.run(_config_from_args(args))
+        options = RenderOptions(args.hub_fraction, args.hub_min_degree, args.decimal_places)
+        return args.run(args, _parse_emit(args.emit), options)
     except CouplingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -19,6 +19,7 @@ import pytest
 from mscoupling import cli, metrics
 from mscoupling.cli import CORPUS_ERRORS, CORPUS_FILES, CORPUS_SUMMARY, OUTPUT_NAMES, main, run
 from mscoupling.graph import ServiceGraph
+from mscoupling.report import RenderOptions
 
 SINGLE_EDGE_DESCRIPTOR = {
     "name": "pair",
@@ -87,19 +88,19 @@ def read_tree(root):
     }
 
 
-def _exit_worker(descriptor_path, config):
+def _exit_worker(descriptor_path, out_dir, emit, options):
     """A corpus worker that ends its process without returning, as a crashed worker does."""
     os._exit(1)
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool with an in-process stand-in; returns the ``max_workers`` of each pool built."""
-    sizes = []
+def pool_runs(monkeypatch):
+    """Replace the process pool with an in-process stand-in; returns the ``(max_workers, worker)`` of each pool run."""
+    runs = []
 
     class RecordingExecutor:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -108,10 +109,11 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, iterable):
+            runs.append((self.max_workers, fn))
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    return sizes
+    return runs
 
 
 class TestAnalyze:
@@ -435,6 +437,19 @@ class TestAnalyze:
         assert main(["analyze", str(source), "--out", str(tmp_path / "out")] + flags) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        ("flags", "reported"),
+        [
+            (["--emit", "hologram"], "unknown emit target 'hologram'"),
+            (["--emit", "hologram", "--hub-fraction", "1.5"], "hub_fraction must be"),
+        ],
+        ids=["emit", "options-before-emit"],
+    )
+    def test_bad_options_are_reported_before_input_is_read(self, tmp_path, flags, reported, capsys):
+        assert main(["analyze", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")] + flags) == 1
+        assert capsys.readouterr().err.startswith(f"error: {reported}")
+        assert not (tmp_path / "out").exists()
+
 
 class TestExample:
     def test_writes_demo_analysis(self, tmp_path, capsys):
@@ -543,6 +558,18 @@ class TestCorpus:
         assert [line.split(":", 1)[0] for line in errors] == ["forged", "long"]
         assert errors[0] == "forged: service 'a': source_dir 'gone\\nfake-project: injected line' is not a directory"
         assert len(errors[1]) < 200
+
+    def test_directory_name_cannot_forge_an_error_line(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        forged = root / "bad\nfake-project: injected"
+        forged.mkdir(parents=True)
+        (forged / "project.json").write_text("{nope")
+        out = tmp_path / "out"
+        assert main(["corpus", str(root), "--out", str(out)]) == 3
+        capsys.readouterr()
+        errors = (out / CORPUS_ERRORS).read_text().splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("'bad\\nfake-project: injected': ")
 
     def test_project_name_with_separator_fails_alone(self, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -659,10 +686,17 @@ class TestCorpus:
         assert "root" in capsys.readouterr().err
 
     def test_jobs_must_be_positive(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "corpus_summary.csv").write_text("earlier\n")
         root = tmp_path / "corpus"
-        root.mkdir()
-        assert main(["corpus", str(root), "--jobs", "0"]) == 1
-        capsys.readouterr()
+        write_corpus_project(root, "p", SINGLE_EDGE_DESCRIPTOR)
+        # Checked before the root is read and before the summary pair is removed, whether the root exists or not.
+        for corpus_root in (root, tmp_path / "absent"):
+            assert main(["corpus", str(corpus_root), "--out", str(out), "--jobs", "0"]) == 1
+            assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+            assert (out / "corpus_summary.csv").read_text() == "earlier\n"
+            assert not (out / "p").exists()
 
     def test_parallel_matches_serial(self, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -718,13 +752,13 @@ class TestCorpus:
         [(3, "64", [3]), (2, "1", []), (1, "2", []), (0, "2", [])],
         ids=["more-jobs-than-projects", "one-job", "one-project", "empty-corpus"],
     )
-    def test_pool_size_is_bounded_by_projects(self, tmp_path, pool_sizes, projects, jobs, pools, capsys):
+    def test_pool_size_is_bounded_by_projects(self, tmp_path, pool_runs, projects, jobs, pools, capsys):
         root = tmp_path / "corpus"
         root.mkdir()
         for index in range(projects):
             write_corpus_project(root, f"p{index}", SINGLE_EDGE_DESCRIPTOR | {"name": f"p{index}"})
         assert main(["corpus", str(root), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 0
-        assert pool_sizes == pools
+        assert [size for size, _ in pool_runs] == pools
         assert capsys.readouterr().out.splitlines()[-1] == f"{projects} project(s) analyzed, 0 failed"
 
     def test_dead_worker_exits_2_without_summary(self, tmp_path, monkeypatch, capsys):
@@ -743,14 +777,16 @@ class TestCorpus:
         assert captured.err.count("\n") == 1
         assert not (out / "corpus_summary.csv").exists()
 
-    def test_worker_and_results_survive_pickling(self, tmp_path, capsys):
+    def test_worker_and_results_survive_pickling(self, tmp_path, pool_runs, capsys):
         root = tmp_path / "corpus"
         good = write_corpus_project(root, "good", HUB_DESCRIPTOR) / "project.json"
         bad = root / "bad" / "project.json"
         bad.parent.mkdir()
         bad.write_text("{nope")
-        args = cli.build_parser().parse_args(["corpus", str(root), "--out", str(tmp_path / "out"), "--jobs", "2"])
-        worker = functools.partial(cli._process_corpus_project, config=cli._config_from_args(args))
+        out = tmp_path / "out"
+        assert main(["corpus", str(root), "--out", str(out), "--jobs", "2", "--emit", "svg,csv"]) == 3
+        [(_, worker)] = pool_runs
+        assert worker.keywords == {"out_dir": out, "emit": ("csv", "svg"), "options": RenderOptions()}
         clone = pickle.loads(pickle.dumps(worker))
         assert clone.func is cli._process_corpus_project
         assert clone.keywords == worker.keywords
