@@ -135,8 +135,8 @@ def _write_outputs(
     files: dict[str, str] = {}
     if "csv" in emit:
         files["service_metrics.csv"] = report.emit_service_metrics_csv(analysis, options)
-        for metric in report.PAIR_METRICS:
-            files[f"pair_{metric}.csv"] = report.emit_pair_matrix_csv(analysis, metric, options)
+        for metric, text in report.emit_pair_matrices_csv(analysis, options=options).items():
+            files[f"pair_{metric}.csv"] = text
         files["summary.csv"] = report.emit_summary_csv([summary], options)
     if "dot" in emit:
         files["graph.dot"] = report.emit_dot(analysis, options)

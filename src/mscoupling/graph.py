@@ -30,12 +30,16 @@ ServiceId = str
 MAX_WEIGHT = 2**53
 
 
+def _forbidden(text: str) -> bool:
+    return "," in text or '"' in text or not text.isprintable()
+
+
 def _check_id(value: str, what: str = "service id") -> str:
     """Ids and project names are printable text without ``,`` or ``"``: CSV, DOT and SVG carry them raw."""
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{what} must be a non-empty string, got {_shown(value)}")
-    if "," in value or '"' in value or not value.isprintable():
-        ch = next(ch for ch in value if ch in ',"' or not ch.isprintable())
+    if _forbidden(value):
+        ch = next(ch for ch in value if _forbidden(ch))
         raise ValidationError(f"{what} {_shown(value)} contains forbidden character {_shown(ch)}")
     return value
 
@@ -105,6 +109,29 @@ class DependencyEdge:
                 raise ValidationError(f"edge {_endpoints(self)}: unknown kind {_shown(self.kind)}") from None
 
 
+def _records_from_columns(ids, classes, locs, sources, targets, weights, kinds) -> tuple[tuple, tuple] | None:
+    """These field columns' records, built without ``__post_init__``, if each column plainly passes it; else None."""
+    try:
+        kinds, names = list(map({kind.value: kind for kind in EdgeKind}.get, kinds)), {*ids, *sources, *targets}
+    except TypeError:  # an unhashable id or kind
+        return None
+    if (
+        not set(map(type, names)) <= {str} or "" in names or _forbidden("".join(names)) or None in kinds
+        or any(map(str.__eq__, sources, targets))
+        or not set(map(type, classes + locs)) <= {int, type(None)} or min({*classes, *locs} - {None}, default=0) < 0
+        or not set(map(type, weights)) <= {int} or min(weights, default=1) < 1 or max(weights, default=1) > MAX_WEIGHT
+    ):
+        return None
+
+    def record(cls, **fields):
+        (made := object.__new__(cls)).__dict__.update(fields)
+        return made
+
+    nodes = tuple(record(ServiceNode, id=i, class_count=c, loc=n) for i, c, n in zip(ids, classes, locs))
+    edges = zip(sources, targets, weights, kinds)
+    return nodes, tuple(record(DependencyEdge, source=s, target=t, weight=w, kind=k) for s, t, w, k in edges)
+
+
 @dataclass(frozen=True)
 class ServiceGraph:
     """Immutable directed multigraph of services.
@@ -129,19 +156,18 @@ class ServiceGraph:
         in_: dict[ServiceId, dict[ServiceId, int]] = {service: {} for service in ids}
         merged: dict[tuple[str, str, EdgeKind], tuple[DependencyEdge, int]] = {}
         for position, edge in enumerate(self.edges):
-            for service in (edge.source, edge.target):
-                if service not in by_id:
-                    raise UnknownService(
-                        f"edge #{position} {_endpoints(edge)} references undeclared service {_shown(service)}"
-                    )
-            key = (edge.source, edge.target, edge.kind)
+            source, target, weight = edge.source, edge.target, edge.weight
+            if source not in by_id or target not in by_id:
+                missing = _shown(target if source in by_id else source)
+                raise UnknownService(f"edge #{position} {_endpoints(edge)} references undeclared service {missing}")
+            key = (source, target, edge.kind)
             first, total = merged.get(key, (edge, 0))
-            if (total := total + edge.weight) > MAX_WEIGHT:
+            if (total := total + weight) > MAX_WEIGHT:
                 raise ValidationError(f"edge #{position} {_endpoints(edge)}: merged weight must be at most 2**53")
             merged[key] = first, total
-            providers, clients = out[edge.source], in_[edge.target]
-            providers[edge.target] = providers.get(edge.target, 0) + edge.weight
-            clients[edge.source] = clients.get(edge.source, 0) + edge.weight
+            providers, clients = out[source], in_[target]
+            providers[target] = providers.get(target, 0) + weight
+            clients[source] = clients.get(source, 0) + weight
         object.__setattr__(self, "nodes", tuple(by_id[service] for service in ids))
         # EdgeKind is a str enum, so the keys sort by (source, target, kind value).
         # Each key keeps its first checked record; only a repeated key builds a summed one.

@@ -21,12 +21,13 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import yaml
 
 from .errors import CouplingError, ParseError, ValidationError, _shown
-from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode, _check_id
+from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode, _check_id, _records_from_columns
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +65,10 @@ class ProjectDescriptor:
         _check_id(self.name, "project name")
 
 
+_SERVICE_FIELDS = frozenset({"id", "classes", "loc", "source_dir"})
+_EDGE_FIELDS = frozenset({"source", "target", "weight", "kind"})
+
+
 def parse_project_descriptor(text: str) -> ProjectDescriptor:
     """Parse the canonical JSON descriptor format into records.
 
@@ -83,6 +88,8 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
     unknown = sorted(set(document) - {"name", "services", "edges"})
     if unknown:
         logger.warning("descriptor: ignoring unknown fields %s", _shown(", ".join(unknown)))
+    if (plain := _plain_records(document)) is not None:
+        return ProjectDescriptor(document.get("name"), *plain)
 
     def service(raw: dict) -> tuple[ServiceNode, str | None]:
         node = ServiceNode(raw.get("id"), raw.get("classes"), raw.get("loc"))
@@ -92,16 +99,34 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
         return node, source_dir
 
     def edge(raw: dict) -> DependencyEdge:
-        weight, kind = raw.get("weight", 1), raw.get("kind", EdgeKind.CALL)
-        return DependencyEdge(raw.get("source"), raw.get("target"), weight, kind)
+        return DependencyEdge(raw.get("source"), raw.get("target"), raw.get("weight", 1), raw.get("kind", "call"))
 
-    services = _descriptor_records(document, "services", "service", {"id", "classes", "loc", "source_dir"}, service)
-    edges = _descriptor_records(document, "edges", "edge", {"source", "target", "weight", "kind"}, edge)
+    services = _descriptor_records(document, "services", "service", _SERVICE_FIELDS, service)
+    edges = _descriptor_records(document, "edges", "edge", _EDGE_FIELDS, edge)
     source_dirs = {node.id: source_dir for node, source_dir in services if source_dir is not None}
     return ProjectDescriptor(document.get("name"), tuple(node for node, _ in services), tuple(edges), source_dirs)
 
 
-def _descriptor_records(document: dict, key: str, label: str, fields: set[str], make) -> list:
+def _plain_records(document: dict) -> tuple[tuple, tuple, dict] | None:
+    """Services, edges and source_dirs if every record is plainly valid, checked by column; else None."""
+    def column(records: list[dict], key: str, default: object = None) -> list:
+        return list(map(dict.get, records, repeat(key), repeat(default)))
+
+    services, edges = document.get("services", []), document.get("edges", [])
+    if type(services) is not list or type(edges) is not list or not set(map(type, services + edges)) <= {dict}:
+        return None
+    if not all(map(_SERVICE_FIELDS.issuperset, services)) or not all(map(_EDGE_FIELDS.issuperset, edges)):
+        return None
+    ids, dirs = column(services, "id"), column(services, "source_dir")
+    if set(map(type, dirs)) <= {str, type(None)} and (records := _records_from_columns(
+        ids, column(services, "classes"), column(services, "loc"),
+        column(edges, "source"), column(edges, "target"), column(edges, "weight", 1), column(edges, "kind", "call"),
+    )):
+        return *records, {service: path for service, path in zip(ids, dirs) if path is not None}
+    return None
+
+
+def _descriptor_records(document: dict, key: str, label: str, fields: frozenset[str], make) -> list:
     """``make(raw)`` for each object in the array ``document[key]``, in order.
 
     Unknown fields are ignored with a warning, and an error names the
@@ -114,8 +139,8 @@ def _descriptor_records(document: dict, key: str, label: str, fields: set[str], 
     for position, raw in enumerate(raw_records):
         if not isinstance(raw, dict):
             raise ValidationError(f"{label} #{position} must be an object")
-        unknown = sorted(set(raw) - fields)
-        if unknown:
+        if not raw.keys() <= fields:
+            unknown = sorted(set(raw) - fields)
             logger.warning("%s #%d: ignoring unknown fields %s", label, position, _shown(", ".join(unknown)))
         try:
             records.append(make(raw))

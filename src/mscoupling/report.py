@@ -7,8 +7,8 @@ byte-identical CSV/DOT/SVG output.  Counts (degrees, AIS/ADS/ACS, SIY)
 are printed as plain integers; real-valued metrics (LWF/GWF/SC/CBM and
 all summary statistics) use ``decimal_places`` digits; undefined is blank.
 Pair rows of one class share one ``PairMetrics``, so each emitter call
-formats a pair value once per class, keyed by that object's ``id``.  A matrix
-row is its connected cells joined by runs cut from one shared comma string.
+formats a pair value once per class, keyed by that object's ``id``.  The four
+matrices share one walk over the pairs and join each matrix's text once.
 """
 
 from __future__ import annotations
@@ -88,31 +88,41 @@ def _dot_id(service: ServiceId) -> str:
     return '"' + service.replace("\\", "\\\\") + '"'
 
 
-def emit_pair_matrix_csv(analysis: Analysis, metric: str, options: RenderOptions = RenderOptions()) -> str:
-    """n x n matrix of one pair metric, blank where unconnected; ValueError if pairs leave (s1, s2) order."""
-    if metric not in PAIR_METRICS:
-        raise ValueError(f"metric must be one of {PAIR_METRICS}, got {metric!r}")
+def emit_pair_matrices_csv(
+    analysis: Analysis, metrics: tuple[str, ...] = PAIR_METRICS, options: RenderOptions = RenderOptions()
+) -> dict[str, str]:
+    """Each metric's n x n matrix from one walk; ValueError on an unknown metric or if pairs leave (s1, s2) order."""
+    if unknown := [metric for metric in metrics if metric not in PAIR_METRICS]:
+        raise ValueError(f"metric must be one of {PAIR_METRICS}, got {unknown[0]!r}")
     services = analysis.graph.service_ids
     column = {service: index for index, service in enumerate(services, 1)}  # its cell follows comma `index`
     commas = "," * len(services)
     pairs = iter(analysis.pairs)
     s1, s2, pair = next(pairs, (None, None, None))
-    text: dict[int, str] = {}
-    lines = ["service," + ",".join(services)]
+    # The walk's parts: the text from one connected cell to the next, with each cell's PairMetrics between.
+    parts, text = [], "service," + ",".join(services)
     for row in services:
-        cells, done = [row], 0
+        text, done = text + "\n" + row, 0
         while s1 == row and (col := column.get(s2, 0)) > done:
-            if (cell := text.get(id(pair))) is None:
-                cell = text[id(pair)] = _fmt(getattr(pair, metric), options.decimal_places)
-            cells += commas[: col - done], cell
-            done = col
+            parts += text + commas[: col - done], pair
+            text, done = "", col
             s1, s2, pair = next(pairs, (None, None, None))
-        cells.append(commas[done:])
-        lines.append("".join(cells))
+        text += commas[done:]
     if s1 is not None:
         raise ValueError(f"pair ({s1!r}, {s2!r}) is not in (s1, s2) order or names no service")
-    lines.append("")
-    return "\n".join(lines)
+    parts.append(text + "\n")
+    keys, matrices = list(map(id, parts[1::2])), {}
+    classes = dict(zip(keys, parts[1::2]))
+    for metric in metrics:
+        cell = {key: _fmt(getattr(pair, metric), options.decimal_places) for key, pair in classes.items()}
+        parts[1::2] = map(cell.__getitem__, keys)
+        matrices[metric] = "".join(parts)
+    return matrices
+
+
+def emit_pair_matrix_csv(analysis: Analysis, metric: str, options: RenderOptions = RenderOptions()) -> str:
+    """n x n matrix of one pair metric, blank where unconnected; ValueError if pairs leave (s1, s2) order."""
+    return emit_pair_matrices_csv(analysis, (metric,), options)[metric]
 
 
 def emit_service_metrics_csv(analysis: Analysis, options: RenderOptions = RenderOptions()) -> str:
@@ -181,6 +191,10 @@ _SVG_SIZE = 520
 _SVG_RADIUS = 180
 _SVG_NODE_RADIUS = 18.0
 _SVG_EDGE_GAP = 6.0
+_SVG_ARROW = (
+    '  <line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#333333" stroke-width="1.5" marker-end="url(#arrow)"/>\n'
+    '  <text x="%.1f" y="%.1f" text-anchor="middle" font-size="11">%s</text>'
+)
 
 
 def _svg_positions(count: int) -> list[tuple[float, float]]:
@@ -234,12 +248,7 @@ def emit_svg(analysis: Analysis, options: RenderOptions = RenderOptions()) -> st
         ex, ey = x2 - ux * (radius[s2] + 4) + px, y2 - uy * (radius[s2] + 4) + py
         if (label := labels.get(id(pair))) is None:
             label = labels[id(pair)] = _fmt(pair.sc, options.decimal_places)
-        lines += (
-            f'  <line x1="{sx:.1f}" y1="{sy:.1f}" x2="{ex:.1f}" y2="{ey:.1f}" '
-            'stroke="#333333" stroke-width="1.5" marker-end="url(#arrow)"/>',
-            f'  <text x="{(sx + ex) / 2 + px:.1f}" y="{(sy + ey) / 2 + py:.1f}" '
-            f'text-anchor="middle" font-size="11">{label}</text>',
-        )
+        lines.append(_SVG_ARROW % (sx, sy, ex, ey, (sx + ex) / 2 + px, (sy + ey) / 2 + py, label))
 
     for row in analysis.services:
         x, y = position[row.id]

@@ -112,6 +112,13 @@ class TestGraphConstruction:
                 [ServiceNode("A"), ServiceNode("B")], [DependencyEdge("A", "B"), DependencyEdge("A", "C")]
             )
 
+    @pytest.mark.parametrize(
+        "edge, missing", [(DependencyEdge("X", "A"), "X"), (DependencyEdge("X", "Y"), "X"), (DependencyEdge("B", "Y"), "Y")]
+    )
+    def test_unknown_endpoint_named_source_first(self, edge, missing):
+        with pytest.raises(UnknownService, match=rf"^edge #0 .* references undeclared service '{missing}'$"):
+            ServiceGraph.build([ServiceNode("A"), ServiceNode("B")], [edge])
+
     def test_parallel_edges_merge_by_weight(self):
         graph = ServiceGraph.build(
             [ServiceNode("A"), ServiceNode("B")],
@@ -120,6 +127,15 @@ class TestGraphConstruction:
         assert len(graph.edges) == 1
         assert graph.edges[0].weight == 3
         assert graph.providers("A").get("B", 0) == 3
+
+    def test_one_record_object_repeated_counts_each_time(self):
+        edge = DependencyEdge("A", "B")
+        graph = ServiceGraph.build([ServiceNode("A"), ServiceNode("B")], [edge] * 3)
+        assert graph.edges == (DependencyEdge("A", "B", weight=3),)
+        assert graph.providers("A")["B"] == graph.clients("B")["A"] == 3
+        big = DependencyEdge("A", "B", weight=2**53)
+        with pytest.raises(ValidationError, match=r"^edge #1 'A'->'B': merged weight must be at most 2\*\*53$"):
+            ServiceGraph.build([ServiceNode("A"), ServiceNode("B")], [big, big])
 
     def test_distinct_kinds_kept_separate(self):
         graph = ServiceGraph.build(

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
+import pickle
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from mscoupling.errors import DuplicateService, ParseError, UnknownService, ValidationError
+from mscoupling.errors import CouplingError, DuplicateService, ParseError, UnknownService, ValidationError
 from mscoupling.graph import DependencyEdge, EdgeKind, ServiceNode
 from mscoupling.ingest import (
     ProjectDescriptor,
@@ -21,6 +25,8 @@ from mscoupling.ingest import (
     parse_edge_csv,
     parse_project_descriptor,
 )
+from sample_systems import make_hub
+from test_fuzz import _descriptors
 
 
 def class_counts(graph):
@@ -518,3 +524,191 @@ class TestLoadCorpus:
     def test_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "absent")
+
+
+# -- the bulk descriptor path --------------------------------------------------
+
+_FIELDS = {"services": {"id", "classes", "loc", "source_dir"}, "edges": {"source", "target", "weight", "kind"}}
+# Fields that each make a record invalid, or send it to the per-record path, in its own way.
+_NEAR_MISSES = {
+    "service": [
+        ("id", ["a"]), ("id", None), ("id", ""), ("id", "a,b"), ("id", 'a"b'), ("id", "a\x00b"), ("id", "a\nb"),
+        ("classes", True), ("classes", -1), ("classes", 2.0), ("classes", [1]), ("loc", False), ("loc", -5),
+        ("loc", 7), ("source_dir", 5), ("source_dir", "src/a"), ("source_dir", None), ("extra", 1),
+    ],
+    "edge": [
+        ("weight", True), ("weight", 1.0), ("weight", 2**53 + 1), ("weight", 2**53), ("weight", 0), ("weight", None),
+        ("kind", "rpc"), ("kind", "CALL"), ("kind", None), ("kind", ["call"]), ("kind", "declared"),
+        ("kind", "compose"), ("source", ["a"]), ("target", 3), ("source", "a,b"), ("target", "t\x7f"),
+        ("extra", "x"), ("self", None),
+    ],
+}
+
+
+def _miss(raw: dict, field_name: str, value: object) -> None:
+    if field_name == "self":
+        raw["target"] = raw["source"]
+    else:
+        raw[field_name] = value
+
+
+@st.composite
+def _plain_descriptors(draw) -> bytes:
+    """Descriptors with plain ids and valid fields, so that most of them parse."""
+    ids = draw(st.lists(st.text("ab-1", min_size=1, max_size=3), min_size=1, max_size=6, unique=True))
+    services = [{"id": service, "classes": draw(st.none() | st.integers(0, 9))} for service in ids]
+    edges = [
+        {"source": ids[i], "target": ids[(i + j) % len(ids)], "weight": draw(st.integers(1, 3))}
+        for i, j in draw(st.lists(st.tuples(st.integers(0, len(ids) - 1), st.integers(1, 5)), max_size=8))
+        if j % len(ids)
+    ]
+    return json.dumps({"name": "p", "services": services, "edges": edges}).encode("utf-8")
+
+
+@st.composite
+def _near_miss_documents(draw) -> str:
+    """A fuzz-suite or plain descriptor, with some of its records given a near-miss field."""
+    document = json.loads(draw(_descriptors() | _plain_descriptors()).decode("utf-8", "surrogatepass"))
+    for _ in range(draw(st.integers(0, 3))):
+        label = draw(st.sampled_from(sorted(_NEAR_MISSES)))
+        records = document["services" if label == "service" else "edges"]
+        if not records:
+            continue
+        _miss(records[draw(st.integers(0, len(records) - 1))], *draw(st.sampled_from(_NEAR_MISSES[label])))
+    if draw(st.integers(0, 9)) == 0:
+        document[draw(st.sampled_from(["services", "edges"]))].append(draw(st.sampled_from([[], "x", 1, None])))
+    return json.dumps(document)
+
+
+def _oracle_descriptor(text: str) -> ProjectDescriptor:
+    """Every record built through the public constructors, each error named as the parser names it."""
+    document = json.loads(text)
+
+    def records(key, label, make):
+        built = []
+        for position, raw in enumerate(document.get(key, [])):
+            if not isinstance(raw, dict):
+                raise ValidationError(f"{label} #{position} must be an object")
+            try:
+                built.append(make(raw))
+            except CouplingError as exc:
+                raise ValidationError(f"{label} #{position}: {exc}") from None
+        return built
+
+    def service(raw):
+        node = ServiceNode(raw.get("id"), raw.get("classes"), raw.get("loc"))
+        if raw.get("source_dir") is not None and not isinstance(raw["source_dir"], str):
+            raise ValidationError("source_dir must be a string")
+        return node, raw.get("source_dir")
+
+    def edge(raw):
+        return DependencyEdge(raw.get("source"), raw.get("target"), raw.get("weight", 1), raw.get("kind", "call"))
+
+    services = records("services", "service", service)
+    edges = records("edges", "edge", edge)
+    source_dirs = {node.id: path for node, path in services if path is not None}
+    return ProjectDescriptor(document.get("name"), tuple(node for node, _ in services), tuple(edges), source_dirs)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except CouplingError as exc:
+        return type(exc), str(exc)
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+class TestBulkDescriptorPath:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_near_miss_documents())
+    def test_matches_per_record_constructors(self, text):
+        handler, logger = _Warnings(), logging.getLogger("mscoupling.ingest")
+        logger.addHandler(handler)
+        try:
+            parsed = _outcome(parse_project_descriptor, text)
+        finally:
+            logger.removeHandler(handler)
+        assert parsed == _outcome(_oracle_descriptor, text)
+        if isinstance(parsed, ProjectDescriptor):
+            assert all(type(edge.kind) is EdgeKind for edge in parsed.edges)
+            document = json.loads(text)
+            unknown = [raw for key, fields in _FIELDS.items() for raw in document[key] if not raw.keys() <= fields]
+            assert len(handler.messages) == len(unknown)
+
+    @pytest.mark.parametrize("label, miss", [(label, miss) for label in _NEAR_MISSES for miss in _NEAR_MISSES[label]])
+    def test_each_near_miss_matches_per_record_constructors(self, label, miss):
+        document = json.loads(MINIMAL_DESCRIPTOR)
+        _miss(document["services" if label == "service" else "edges"][-1], *miss)
+        text = json.dumps(document)
+        assert _outcome(parse_project_descriptor, text) == _outcome(_oracle_descriptor, text)
+
+    @pytest.fixture
+    def post_inits(self, monkeypatch):
+        """Calls to each record type's ``__post_init__``, which still run."""
+        calls = {ServiceNode: 0, DependencyEdge: 0}
+        for cls in calls:
+            def counted(self, original=cls.__post_init__, cls=cls):
+                calls[cls] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        return calls
+
+    def test_plain_descriptor_skips_record_checks(self, tmp_path, post_inits):
+        graph = make_hub(1, 80)
+        (tmp_path / "src" / "svc00").mkdir(parents=True)
+        (tmp_path / "src" / "svc00" / "A.java").write_text("class A {}\n")
+        services = [{"id": node.id, "classes": 3, "loc": 100} for node in graph.nodes]
+        services[0] = {"id": "svc00", "source_dir": "src/svc00"}
+        edges = [{"source": a.source, "target": a.target, "weight": a.weight, "kind": "call"} for a in graph.edges]
+        document = {"name": "hub", "services": services, "edges": edges}
+        (tmp_path / "project.json").write_text(json.dumps(document))
+        checked = _oracle_descriptor(json.dumps(document))
+        post_inits.update(dict.fromkeys(post_inits, 0))  # building the fixture graph and the oracle above counted
+        descriptor = parse_project_descriptor(json.dumps(document))
+        assert post_inits == {ServiceNode: 0, DependencyEdge: 0}
+        assert descriptor == checked
+        loaded, _ = load_project(tmp_path / "project.json")
+        assert post_inits == {ServiceNode: 1, DependencyEdge: 0}  # svc00's class count, from its source tree
+        assert loaded.edges == graph.edges
+        assert loaded.nodes[0] == ServiceNode("svc00", class_count=1)
+
+    def test_bulk_records_behave_like_checked_ones(self):
+        descriptor = parse_project_descriptor(MINIMAL_DESCRIPTOR)
+        checked = _oracle_descriptor(MINIMAL_DESCRIPTOR)
+        assert pickle.loads(pickle.dumps(descriptor)) == descriptor == checked
+        assert list(map(hash, descriptor.services + descriptor.edges)) == list(map(hash, checked.services + checked.edges))
+        assert repr(descriptor.edges) == repr(checked.edges)
+        assert dataclasses.replace(descriptor.edges[0], weight=5) == DependencyEdge("web", "db", 5)
+        with pytest.raises(ValidationError):
+            dataclasses.replace(descriptor.edges[0], weight=0)
+
+    def test_doubtful_descriptor_takes_the_per_record_path(self, post_inits):
+        parse_project_descriptor(MINIMAL_DESCRIPTOR.replace('"weight": 2', '"weight": 2, "note": "x"'))
+        assert post_inits == {ServiceNode: 2, DependencyEdge: 1}
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ServiceNode(["a"]),
+            lambda: ServiceNode("a,b"),
+            lambda: ServiceNode("a", class_count=True),
+            lambda: ServiceNode("a", loc=-1),
+            lambda: DependencyEdge("a", "a"),
+            lambda: DependencyEdge("a", "b\x00"),
+            lambda: DependencyEdge("a", "b", weight=1.0),
+            lambda: DependencyEdge("a", "b", weight=2**53 + 1),
+            lambda: DependencyEdge("a", "b", kind="rpc"),
+        ],
+    )
+    def test_records_built_alone_still_check_every_field(self, make):
+        with pytest.raises(CouplingError):
+            make()

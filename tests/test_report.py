@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import math
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
@@ -23,6 +24,7 @@ from mscoupling.report import (
     RenderOptions,
     classify,
     emit_dot,
+    emit_pair_matrices_csv,
     emit_pair_matrix_csv,
     emit_service_metrics_csv,
     emit_summary_csv,
@@ -32,6 +34,9 @@ from mscoupling.report import (
 from mscoupling.sample import sample_graph
 from sample_systems import make_hub, make_star4
 from strategies import service_graphs
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def classify_all(graph, options=RenderOptions()):
@@ -222,6 +227,45 @@ class TestPairMatrixCsv:
         bad = dataclasses.replace(analysis, pairs=reorder(analysis.pairs))
         with pytest.raises(ValueError, match=r"not in \(s1, s2\) order"):
             emit_pair_matrix_csv(bad, "sc")
+        with pytest.raises(ValueError, match=r"not in \(s1, s2\) order"):
+            emit_pair_matrices_csv(bad)
+
+
+class TestPairMatricesCsv:
+    """All four matrices from one walk over the pair rows."""
+
+    @given(service_graphs(max_nodes=8), st.booleans())
+    def test_matches_dense_oracle(self, graph, isolated_ends):
+        if isolated_ends:
+            graph = ServiceGraph((ServiceNode("a"), *graph.nodes, ServiceNode("z")), graph.edges)
+        analysis = analyze(graph)
+        for places in (0, 2, 17):
+            matrices = emit_pair_matrices_csv(analysis, options=RenderOptions(decimal_places=places))
+            assert matrices == {metric: oracles.pair_matrix_csv(analysis, metric, places) for metric in PAIR_METRICS}
+            assert list(matrices) == list(PAIR_METRICS)
+
+    @pytest.mark.parametrize("name, graph", [("example", sample_graph()), ("star4", make_star4())])
+    def test_matches_golden_files_and_oracle(self, name, graph):
+        analysis = analyze(graph)
+        for metric, text in emit_pair_matrices_csv(analysis).items():
+            assert text == (GOLDEN_DIR / f"{name}.pair_{metric}.csv").read_text()
+            assert text == oracles.pair_matrix_csv(analysis, metric, 2)
+
+    def test_hub_matches_dense_oracle(self):
+        analysis = analyze(make_hub(4, 300))
+        for metric, text in emit_pair_matrices_csv(analysis).items():
+            assert text == oracles.pair_matrix_csv(analysis, metric, 2)
+
+    def test_metrics_subset_in_the_order_asked(self, demo):
+        analysis = analyze(demo)
+        matrices = emit_pair_matrices_csv(analysis, ("sc", "degree"))
+        assert list(matrices) == ["sc", "degree"]
+        assert matrices["degree"] == emit_pair_matrix_csv(analysis, "degree")
+        assert emit_pair_matrices_csv(analysis, ()) == {}
+
+    def test_unknown_metric_rejected(self, demo):
+        with pytest.raises(ValueError, match="entropy"):
+            emit_pair_matrices_csv(analyze(demo), ("sc", "entropy"))
 
 
 class TestServiceMetricsCsv:
@@ -396,6 +440,7 @@ class TestPairClassFormatting:
 
         for metric in PAIR_METRICS:
             assert formatted(emit_pair_matrix_csv, metric) == len(classes)
+        assert formatted(emit_pair_matrices_csv) == len(PAIR_METRICS) * len(classes)
         # DOT also prints each node's size; each arrow class prints its label and pen width.
         assert formatted(emit_dot) == len(analysis.services) + 2 * arrow_classes
         assert formatted(emit_svg) == arrow_classes
