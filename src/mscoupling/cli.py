@@ -96,23 +96,27 @@ def _write_files(out_dir: Path, files: dict[str, str], owned: tuple[str, ...]) -
     the temporary files this call created are removed, no owned file is, and
     the error is re-raised.  An empty batch creates no directory.
     """
+    out_dir = os.fspath(out_dir)
     if files:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    created: list[Path] = []
+        os.makedirs(out_dir, exist_ok=True)
+    prefix = "" if out_dir == "." else os.path.join(out_dir, "")  # OSError texts name paths as Path joins do
+    created: list[str] = []
     try:
         for filename, content in files.items():
-            created.append(out_dir / (filename + ".tmp"))
-            created[-1].write_text(content, encoding="utf-8", newline="\n")
+            created.append(prefix + filename + ".tmp")
+            with open(created[-1], "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(content)
         for filename in files:
-            os.replace(out_dir / (filename + ".tmp"), out_dir / filename)
+            os.replace(prefix + filename + ".tmp", prefix + filename)
     except BaseException:
         for tmp in created:
             with contextlib.suppress(OSError):
-                tmp.unlink(missing_ok=True)
+                os.unlink(tmp)
         raise
     for filename in owned:
         if filename not in files:
-            (out_dir / filename).unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(prefix + filename)
 
 
 def _summary_line(graph: ServiceGraph, summary: ProjectSummary, options: RenderOptions) -> str:
@@ -167,10 +171,10 @@ def cmd_example(args: argparse.Namespace, emit: tuple[str, ...], options: Render
 
 
 def cmd_render(args: argparse.Namespace, emit: tuple[str, ...], options: RenderOptions) -> int:
-    graph, _ = load_project(args.input, args.fmt)
     emit = tuple(target for target in emit if target in ("dot", "svg"))
     if not emit:
         raise ValidationError("render emits only dot/svg; pass --emit dot,svg")
+    graph, _ = load_project(args.input, args.fmt)
     _write_outputs(metrics.analyze(graph), args.out, emit, options)
     return EXIT_OK
 
@@ -205,7 +209,8 @@ def cmd_corpus(args: argparse.Namespace, emit: tuple[str, ...], options: RenderO
 
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(worker, projects))
+                # Each task is a round trip to a worker; about eight chunks per worker keep the tail even.
+                results = list(pool.map(worker, projects, chunksize=max(1, len(projects) // (workers * 8))))
         except BrokenProcessPool:
             print(f"error: corpus {args.input}: a worker process died before the run finished", file=sys.stderr)
             return EXIT_IO

@@ -20,7 +20,7 @@ import io
 import json
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
@@ -273,6 +273,11 @@ def count_source_units(directory: Path) -> int:
     directory = Path(directory)
     if not os.path.isdir(directory):  # False, not an OSError, for a name too long to stat
         raise FileNotFoundError(f"not a directory: {_shown(str(directory))}")
+    return _count_units(directory)
+
+
+def _count_units(directory: str | Path) -> int:
+    """The walk behind :func:`count_source_units`, for a directory the caller has checked."""
     count, pending = 0, [directory]
     while pending:
         try:
@@ -301,16 +306,16 @@ def build_graph(descriptor: ProjectDescriptor, base_dir: Path | None = None) -> 
     naming the service, if that is not a directory.
     """
     nodes = list(descriptor.services)
-    if base_dir is not None:
+    if base_dir is not None and descriptor.source_dirs:
         for i, node in enumerate(nodes):
             source_dir = descriptor.source_dirs.get(node.id)
             if node.class_count is None and source_dir is not None:
-                directory = Path(base_dir) / source_dir
+                directory = os.path.join(base_dir, source_dir)
                 if not os.path.isdir(directory):
                     raise FileNotFoundError(
                         f"service {_shown(node.id)}: source_dir {_shown(source_dir)} is not a directory"
                     )
-                nodes[i] = replace(node, class_count=count_source_units(directory))
+                nodes[i] = ServiceNode(node.id, _count_units(directory), node.loc)
     return ServiceGraph.build(nodes, descriptor.edges)
 
 

@@ -31,7 +31,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import Iterable
 
@@ -134,9 +134,10 @@ def pair_matrix(graph: ServiceGraph) -> tuple[PairRow, ...]:
     """
     classes: dict[tuple[int, int], PairMetrics] = {}
     rows = []
-    for s1, row in groupby(graph.connected_pairs(), itemgetter(0)):
-        providers, clients = graph.providers(s1), graph.clients(s1)
-        for _, s2 in row:
+    # The neighbour maps are read directly: they hold every service, in sorted order.
+    for s1, providers in graph._out.items():
+        clients = graph._in[s1]
+        for s2 in graph._neighbors(s1):
             key = providers.get(s2, 0), clients.get(s2, 0)
             if (pair := classes.get(key)) is None:
                 pair = classes[key] = pair_metrics(graph, s1, s2)
@@ -153,7 +154,7 @@ def service_table(graph: ServiceGraph) -> tuple[ServiceMetrics, ...]:
     """
     rows = []
     for node in graph.nodes:
-        providers, clients = graph.providers(node.id), graph.clients(node.id)
+        providers, clients = graph._out[node.id], graph._in[node.id]
         outdegree, indegree = sum(providers.values()), sum(clients.values())
         rows.append(
             ServiceMetrics(

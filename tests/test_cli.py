@@ -95,7 +95,7 @@ def _exit_worker(descriptor_path, out_dir, emit, options):
 
 @pytest.fixture
 def pool_runs(monkeypatch):
-    """Replace the process pool with an in-process stand-in; returns the ``(max_workers, worker)`` of each pool run."""
+    """Replace the process pool with an in-process stand-in; returns the ``(max_workers, worker, chunksize)`` of each pool run."""
     runs = []
 
     class RecordingExecutor:
@@ -108,8 +108,8 @@ def pool_runs(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, iterable):
-            runs.append((self.max_workers, fn))
+        def map(self, fn, iterable, chunksize=1):
+            runs.append((self.max_workers, fn, chunksize))
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
@@ -486,6 +486,14 @@ class TestRender:
         assert main(["render", str(source), "--out", str(tmp_path / "out"), "--emit", "csv"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("source", ["missing.json", "bad.json"])
+    def test_emit_set_checked_before_input_is_read(self, tmp_path, source, capsys):
+        (tmp_path / "bad.json").write_text("{nope")
+        out = tmp_path / "out"
+        assert main(["render", str(tmp_path / source), "--out", str(out), "--emit", "csv"]) == 1
+        assert capsys.readouterr() == ("", "error: render emits only dot/svg; pass --emit dot,svg\n")
+        assert not out.exists()
+
 
 class TestCorpus:
     def test_analyzes_every_project(self, tmp_path, capsys):
@@ -739,6 +747,36 @@ class TestCorpus:
         assert runs[0][0] == 3
         assert runs[0][1].splitlines()[-1] == "2 project(s) analyzed, 2 failed"
 
+    def test_chunked_workers_match_in_process_run(self, tmp_path, monkeypatch, capsys):
+        chunksizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                chunksizes.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        root = tmp_path / "corpus"
+        # 48 projects on 2 workers go in chunks of 3: the twins land in the first and the last chunk.
+        names = ["a-twin", CORPUS_ERRORS, *(f"p{index:02}" for index in range(45)), "z-twin"]
+        for index, name in enumerate(names):
+            write_corpus_project(root, name, SINGLE_EDGE_DESCRIPTOR | {"name": "twin" if "twin" in name else f"n{index}"})
+        (root / "p20" / "project.json").write_text("{nope")
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out-{jobs}"
+            code = main(["corpus", str(root), "--out", str(out), "--jobs", jobs])
+            runs.append((code, capsys.readouterr().out, read_tree(out)))
+        assert chunksizes == [3]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 3
+        assert runs[0][1].splitlines()[-1] == "45 project(s) analyzed, 3 failed"
+        assert [line.split(":")[0] for line in runs[0][2][CORPUS_ERRORS].decode().splitlines()] == [
+            CORPUS_ERRORS,
+            "p20",
+            "z-twin",
+        ]
+
     def test_worker_warnings_reach_stderr(self, tmp_path):
         root = tmp_path / "corpus"
         for name in ("one", "two"):
@@ -749,8 +787,8 @@ class TestCorpus:
 
     @pytest.mark.parametrize(
         ("projects", "jobs", "pools"),
-        [(3, "64", [3]), (2, "1", []), (1, "2", []), (0, "2", [])],
-        ids=["more-jobs-than-projects", "one-job", "one-project", "empty-corpus"],
+        [(3, "64", [(3, 1)]), (2, "1", []), (1, "2", []), (0, "2", []), (17, "2", [(2, 1)]), (40, "2", [(2, 2)])],
+        ids=["more-jobs-than-projects", "one-job", "one-project", "empty-corpus", "paper-corpus", "chunked"],
     )
     def test_pool_size_is_bounded_by_projects(self, tmp_path, pool_runs, projects, jobs, pools, capsys):
         root = tmp_path / "corpus"
@@ -758,7 +796,7 @@ class TestCorpus:
         for index in range(projects):
             write_corpus_project(root, f"p{index}", SINGLE_EDGE_DESCRIPTOR | {"name": f"p{index}"})
         assert main(["corpus", str(root), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 0
-        assert [size for size, _ in pool_runs] == pools
+        assert [(size, chunksize) for size, _, chunksize in pool_runs] == pools
         assert capsys.readouterr().out.splitlines()[-1] == f"{projects} project(s) analyzed, 0 failed"
 
     def test_dead_worker_exits_2_without_summary(self, tmp_path, monkeypatch, capsys):
@@ -785,7 +823,7 @@ class TestCorpus:
         bad.write_text("{nope")
         out = tmp_path / "out"
         assert main(["corpus", str(root), "--out", str(out), "--jobs", "2", "--emit", "svg,csv"]) == 3
-        [(_, worker)] = pool_runs
+        [(_, worker, _)] = pool_runs
         assert worker.keywords == {"out_dir": out, "emit": ("csv", "svg"), "options": RenderOptions()}
         clone = pickle.loads(pickle.dumps(worker))
         assert clone.func is cli._process_corpus_project

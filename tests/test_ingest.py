@@ -411,6 +411,24 @@ class TestGraphBuilding:
         graph = build_graph(descriptor, base_dir=tmp_path)
         assert class_counts(graph) == {"db": None, "web": 2}
 
+    def test_each_counted_source_dir_is_checked_once(self, tmp_path, monkeypatch):
+        for name in ("web-src", "api-src"):
+            (tmp_path / name / "sub").mkdir(parents=True)
+            (tmp_path / name / "sub" / "A.java").write_text("class A {}")
+        (tmp_path / "db-src").write_text("not a directory")
+        checked = []
+        isdir = os.path.isdir
+        monkeypatch.setattr(os.path, "isdir", lambda path: checked.append(os.fspath(path)) or isdir(path))
+        services = (ServiceNode("api", loc=40), ServiceNode("web"), ServiceNode("db", class_count=3))
+        source_dirs = {"api": "api-src", "web": "web-src", "db": "db-src"}
+        graph = build_graph(ProjectDescriptor("x", services, source_dirs=source_dirs), base_dir=tmp_path)
+        assert graph.nodes == (ServiceNode("api", 1, 40), ServiceNode("db", 3), ServiceNode("web", 1))
+        assert checked == [os.path.join(tmp_path, "api-src"), os.path.join(tmp_path, "web-src")]
+        services = (ServiceNode("db"),)
+        with pytest.raises(FileNotFoundError) as caught:
+            build_graph(ProjectDescriptor("x", services, source_dirs=source_dirs), base_dir=tmp_path)
+        assert str(caught.value) == "service 'db': source_dir 'db-src' is not a directory"
+
     def test_explicit_classes_win_over_source_dir(self, tmp_path):
         descriptor = ProjectDescriptor(
             name="x",
