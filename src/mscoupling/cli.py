@@ -65,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=Path, default=Path("out"), help="output directory (default ./out)")
     common.add_argument("--emit", default="csv,dot", help="comma-separated outputs: csv,dot,svg (default csv,dot)")
-    common.add_argument("--decimal-places", type=int, default=2, metavar="N")
-    common.add_argument("--hub-fraction", type=float, default=0.6, metavar="F")
-    common.add_argument("--hub-min-degree", type=int, default=3, metavar="N")
+    common.add_argument("--decimal-places", type=int, default=RenderOptions.decimal_places, metavar="N")
+    common.add_argument("--hub-fraction", type=float, default=RenderOptions.hub_fraction, metavar="F")
+    common.add_argument("--hub-min-degree", type=int, default=RenderOptions.hub_min_degree, metavar="N")
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", dest="fmt", choices=FORMATS, default="auto")

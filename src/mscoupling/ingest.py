@@ -264,20 +264,12 @@ def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
     return ProjectDescriptor(name, tuple(services), tuple(edges))
 
 
-def count_source_units(directory: Path) -> int:
-    """Count the ``.java`` files under ``directory``, recursively.
+def _count_units(directory: str | Path) -> int:
+    """Count the ``.java`` files under ``directory``, recursively; the caller checks it is a directory.
 
     Symlinked files count, symlinked directories are not entered, and
     unreadable subdirectories are skipped (as ``Path.rglob`` does).
     """
-    directory = Path(directory)
-    if not os.path.isdir(directory):  # False, not an OSError, for a name too long to stat
-        raise FileNotFoundError(f"not a directory: {_shown(str(directory))}")
-    return _count_units(directory)
-
-
-def _count_units(directory: str | Path) -> int:
-    """The walk behind :func:`count_source_units`, for a directory the caller has checked."""
     count, pending = 0, [directory]
     while pending:
         try:
@@ -311,7 +303,7 @@ def build_graph(descriptor: ProjectDescriptor, base_dir: Path | None = None) -> 
             source_dir = descriptor.source_dirs.get(node.id)
             if node.class_count is None and source_dir is not None:
                 directory = os.path.join(base_dir, source_dir)
-                if not os.path.isdir(directory):
+                if not os.path.isdir(directory):  # False, not an OSError, for a name too long to stat
                     raise FileNotFoundError(
                         f"service {_shown(node.id)}: source_dir {_shown(source_dir)} is not a directory"
                     )

@@ -193,8 +193,9 @@ def summarize(values: Iterable[float]) -> StatSummary:
     values and the standard deviation is the population one (divide by
     count), so a single value summarizes to stdev 0 rather than being
     undefined.  Max, median and stdev equal ``max``, ``statistics.median``
-    and ``statistics.pstdev`` bit for bit: the first two read the sorted
-    values, and the stdev is exact.  Total is the float sum in order.
+    and ``statistics.pstdev`` bit for bit on Python >= 3.11: the first two
+    read the sorted values, and the stdev is exact.  Total is the float
+    sum in order.
     """
     data = list(map(float, values))
     if not data:

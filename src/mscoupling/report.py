@@ -102,7 +102,8 @@ def emit_pair_matrices_csv(
     # The walk's parts: the text from one connected cell to the next, with each cell's PairMetrics between.
     parts, text = [], "service," + ",".join(services)
     for row in services:
-        text, done = text + "\n" + row, 0
+        text += "\n" + row  # in place: `text + ...` would copy every edgeless row so far again
+        done = 0
         while s1 == row and (col := column.get(s2, 0)) > done:
             parts += text + commas[: col - done], pair
             text, done = "", col

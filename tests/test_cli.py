@@ -206,6 +206,25 @@ class TestAnalyze:
         assert "'web'" in err
         assert "['db']" not in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("services: [web]\n", "'services' must be a mapping"),
+            ("services:\n  web: [db]\n", "service 'web' entry must be a mapping"),
+            ("services:\n  web:\n    depends_on: db\n", "service 'web': depends_on must be a list or mapping"),
+            ("services:\n  web:\n    links: db\n", "service 'web': links must be a list"),
+        ],
+        ids=["services", "entry", "depends-on", "links"],
+    )
+    def test_compose_shape_errors_exit_1(self, tmp_path, text, message):
+        source = tmp_path / "x.yml"
+        source.write_text(text)
+        completed = run_module("analyze", str(source), "--out", str(tmp_path / "out"))
+        assert completed.returncode == 1
+        assert completed.stdout == b""
+        assert completed.stderr.decode("utf-8") == f"error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["x.yml"]
+
     def test_compose_alias_entry_keeps_message_short(self, tmp_path, capsys):
         # five levels of nine aliases: one entry expands to 9**5 names if printed
         levels = ["  - &a0 [" + ", ".join(["db"] * 9) + "]"]

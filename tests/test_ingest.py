@@ -13,12 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mscoupling.errors import CouplingError, DuplicateService, ParseError, UnknownService, ValidationError
+from mscoupling.errors import CouplingError, DuplicateService, ParseError, UnknownService, ValidationError, _shown
 from mscoupling.graph import DependencyEdge, EdgeKind, ServiceNode
 from mscoupling.ingest import (
     ProjectDescriptor,
+    _count_units,
     build_graph,
-    count_source_units,
     load_corpus,
     load_project,
     parse_compose,
@@ -334,26 +334,30 @@ class TestSourceCounting:
         (tmp_path / "A.java").write_text("class A {}")
         (tmp_path / "B.java").write_text("class B {}")
         (tmp_path / "notes.txt").write_text("no")
-        assert count_source_units(tmp_path) == 2
+        assert _count_units(tmp_path) == 2
 
     def test_counts_recursively(self, tmp_path):
         nested = tmp_path / "src" / "main"
         nested.mkdir(parents=True)
         (nested / "Deep.java").write_text("class Deep {}")
         (tmp_path / "Top.java").write_text("class Top {}")
-        assert count_source_units(tmp_path) == 2
+        assert _count_units(tmp_path) == 2
 
     def test_empty_directory(self, tmp_path):
-        assert count_source_units(tmp_path) == 0
+        assert _count_units(tmp_path) == 0
 
     def test_missing_directory(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            count_source_units(tmp_path / "absent")
+        descriptor = ProjectDescriptor("x", (ServiceNode("web"),), source_dirs={"web": "absent"})
+        with pytest.raises(FileNotFoundError) as caught:
+            build_graph(descriptor, base_dir=tmp_path)
+        assert str(caught.value) == "service 'web': source_dir 'absent' is not a directory"
 
     def test_name_too_long_to_stat_is_missing_and_echoed_short(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="^not a directory: ") as caught:
-            count_source_units(tmp_path / ("x" * 5000))
-        assert len(str(caught.value)) < 100
+        name = "x" * 5000
+        descriptor = ProjectDescriptor("x", (ServiceNode("web"),), source_dirs={"web": name})
+        with pytest.raises(FileNotFoundError) as caught:
+            build_graph(descriptor, base_dir=tmp_path)
+        assert str(caught.value) == f"service 'web': source_dir {_shown(name)} is not a directory"
 
     def test_matches_rglob_on_links_and_odd_names(self, tmp_path):
         tree, outside = tmp_path / "tree", tmp_path / "outside"
@@ -374,7 +378,7 @@ class TestSourceCounting:
         (tree / "linked-dir").symlink_to(outside, target_is_directory=True)
         (tree / "broken.java").symlink_to(tmp_path / "missing.java")
         (tree / "loop.java").symlink_to(tree / "loop.java")
-        assert count_source_units(tree) == oracles.source_units(tree) == 5
+        assert _count_units(tree) == oracles.source_units(tree) == 5
 
     def test_unreadable_subdirectory_is_skipped_like_rglob(self, tmp_path, monkeypatch):
         (tmp_path / "locked").mkdir()
@@ -388,7 +392,7 @@ class TestSourceCounting:
             return scandir(path)
 
         monkeypatch.setattr(os, "scandir", guarded)
-        assert count_source_units(tmp_path) == oracles.source_units(tmp_path) == 1
+        assert _count_units(tmp_path) == oracles.source_units(tmp_path) == 1
 
 
 class TestGraphBuilding:

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import math
+import time
 from pathlib import Path
 from xml.dom import minidom
 
@@ -206,6 +207,18 @@ class TestPairMatrixCsv:
         lines = emit_pair_matrix_csv(analyze(graph), "sc").split("\n")
         assert lines[-1] == ""
         assert lines[1:-1] == [f"svc{i:04d}" + "," * 2000 for i in range(2000)]
+
+    def test_sparse_matrices_grow_linearly_in_their_text(self):
+        # 2,998 edgeless rows before the one edge: the walk must append them, not recopy them row by row
+        services = [ServiceNode(f"svc{i:04d}") for i in range(3000)]
+        graph = ServiceGraph.build(services, [DependencyEdge("svc2999", "svc2998", 2)])
+        analysis = analyze(graph)
+        start = time.perf_counter()
+        matrices = emit_pair_matrices_csv(analysis)
+        assert time.perf_counter() - start < 2.0
+        lines = matrices["degree"].split("\n")
+        assert lines[1:2999] == [f"svc{i:04d}" + "," * 3000 for i in range(2998)]
+        assert lines[2999:] == ["svc2998" + "," * 3000 + "2", "svc2999" + "," * 2999 + "2,", ""]
 
     @pytest.mark.parametrize(
         "reorder",
