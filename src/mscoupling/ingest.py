@@ -15,21 +15,15 @@ a corpus root so whole project collections can be analyzed in a batch.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-import logging
 import os
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 
-import yaml
-
 from .errors import CouplingError, ParseError, ValidationError, _shown
 from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode, _check_id, _records_from_columns
-
-logger = logging.getLogger(__name__)
 
 DESCRIPTOR_FILENAME = "project.json"
 SOURCE_SUFFIX = ".java"
@@ -38,13 +32,11 @@ FORMATS = ("auto", "descriptor", "edges", "compose")
 _SUFFIX_FORMATS = {".json": "descriptor", ".csv": "edges", ".yml": "compose", ".yaml": "compose"}
 
 
-class _TextLoader(yaml.SafeLoader):
-    """Plain scalars stay text (``no``, ``010``, ``1.10``); only ``<<`` and the empty scalar (null) keep a type."""
+def _warn(message: str, *args: object) -> None:
+    """Log a warning on the ``mscoupling.ingest`` logger; ``logging`` is imported with the first one."""
+    import logging
 
-    yaml_implicit_resolvers = {
-        first: [(tag, regexp) for tag, regexp in resolvers if tag == "tag:yaml.org,2002:merge" or first == ""]
-        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
-    }
+    logging.getLogger(__name__).warning(message, *args, stacklevel=2)
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,7 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
 
     unknown = sorted(set(document) - {"name", "services", "edges"})
     if unknown:
-        logger.warning("descriptor: ignoring unknown fields %s", _shown(", ".join(unknown)))
+        _warn("descriptor: ignoring unknown fields %s", _shown(", ".join(unknown)))
     if (plain := _plain_records(document)) is not None:
         return ProjectDescriptor(document.get("name"), *plain)
 
@@ -141,7 +133,7 @@ def _descriptor_records(document: dict, key: str, label: str, fields: frozenset[
             raise ValidationError(f"{label} #{position} must be an object")
         if not raw.keys() <= fields:
             unknown = sorted(set(raw) - fields)
-            logger.warning("%s #%d: ignoring unknown fields %s", label, position, _shown(", ".join(unknown)))
+            _warn("%s #%d: ignoring unknown fields %s", label, position, _shown(", ".join(unknown)))
         try:
             records.append(make(raw))
         except CouplingError as exc:
@@ -155,6 +147,9 @@ def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
     Blank lines are skipped; empty optional cells fall back to the
     defaults (weight 1, kind call).
     """
+    import csv
+    import io
+
     reader = csv.reader(io.StringIO(text))
     header: list[str] | None = None
     edges: list[DependencyEdge] = []
@@ -193,6 +188,8 @@ def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
 
 def _csv_records(reader):
     """The rows of ``reader``; a malformed record is a ParseError at the line it starts on."""
+    import csv
+
     start = 1
     try:
         for row in reader:
@@ -209,15 +206,52 @@ def _compose_entry(service: str, entry: object) -> str:
     return str(entry)
 
 
+@cache
+def _text_loader() -> type:
+    """The compose loader class, built on first use so that only compose input imports PyYAML.
+
+    Plain scalars stay text (``no``, ``010``, ``1.10``); only ``<<`` and
+    the empty scalar (null) keep a type.  A mapping that repeats a key,
+    compared by tag and text, is rejected at the repeat.
+    """
+    import yaml
+
+    merge = "tag:yaml.org,2002:merge"
+
+    class TextLoader(yaml.SafeLoader):
+        yaml_implicit_resolvers = {
+            first: [(tag, regexp) for tag, regexp in resolvers if tag == merge or first == ""]
+            for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+        }
+
+        def compose_mapping_node(self, anchor):
+            node = super().compose_mapping_node(anchor)
+            seen = set()
+            for key, _ in node.value:
+                if isinstance(key, yaml.ScalarNode) and key.tag != merge:
+                    if (key.tag, key.value) in seen:
+                        raise ParseError(f"duplicate key {_shown(key.value)}", line=key.start_mark.line + 1)
+                    seen.add((key.tag, key.value))
+            return node
+
+    return TextLoader
+
+
 def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
     """Extract a service topology from a docker-compose document.
 
     Every ``depends_on`` (list or mapping form) and ``links`` entry
     becomes one weight-1 dependency record of kind ``compose``; service
     names stay text and self-references are dropped with a warning.
+    A key given twice in one mapping is a ParseError; ``<<`` merges keep
+    YAML's rule that an explicit key overrides a merged one.
     """
     try:
-        document = yaml.load(text, Loader=_TextLoader)
+        import yaml
+    except ImportError:
+        raise CouplingError("reading compose files needs PyYAML") from None
+    try:
+        document = yaml.load(text, Loader=_text_loader())
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ParseError(
@@ -255,7 +289,7 @@ def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
             services.append(ServiceNode(service))
             for target in targets:
                 if target == service:
-                    logger.warning("compose: dropping self-dependency of %s", _shown(service))
+                    _warn("compose: dropping self-dependency of %s", _shown(service))
                     continue
                 edges.append(DependencyEdge(service, target, 1, EdgeKind.COMPOSE))
         except CouplingError as exc:
@@ -363,5 +397,5 @@ def load_corpus(root: Path) -> tuple[Path, ...]:
         if descriptor_path.is_file():
             projects.append(descriptor_path)
         else:
-            logger.warning("corpus: skipping %s (no %s)", entry.name, DESCRIPTOR_FILENAME)
+            _warn("corpus: skipping %s (no %s)", entry.name, DESCRIPTOR_FILENAME)
     return tuple(projects)

@@ -875,11 +875,43 @@ class TestArgumentHandling:
         assert excinfo.value.code == 0
         capsys.readouterr()
 
-    def test_importing_cli_loads_no_multiprocessing(self):
-        code = "import sys, mscoupling.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    def test_importing_cli_loads_only_what_every_command_needs(self):
+        code = (
+            "import sys\n"
+            "bare = set(sys.modules)\n"
+            "import mscoupling.cli\n"
+            "deferred = ('yaml', 'csv', 'logging', 'concurrent.futures', 'multiprocessing')\n"
+            "print(sorted(m for m in set(sys.modules) - bare if m.startswith(deferred)))\n"
+        )
         completed = run_python("-c", code)
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout == b"[]\n"
+
+    def test_deferred_imports_still_serve_their_inputs(self, tmp_path):
+        descriptor = write_descriptor(tmp_path, {**SINGLE_EDGE_DESCRIPTOR, "flavor": 1})
+        completed = run_module("analyze", str(descriptor), "--out", str(tmp_path / "out"))
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == b"descriptor: ignoring unknown fields 'flavor'\n"  # the last-resort handler's line
+        compose = tmp_path / "docker-compose.yml"
+        compose.write_text("services:\n  web:\n    depends_on: [db]\n  db:\n", encoding="utf-8")
+        completed = run_module("analyze", str(compose), "--out", str(tmp_path / "compose"))
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.startswith(b"docker-compose: services=2 edges=1 ")
+        assert completed.stderr == b""
+
+    def test_compose_without_pyyaml_is_a_message(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "yaml", None)
+        compose = tmp_path / "x.yml"
+        compose.write_text("services:\n  web:\n", encoding="utf-8")
+        assert main(["analyze", str(compose), "--out", str(tmp_path / "compose")]) == 1
+        assert capsys.readouterr().err == "error: reading compose files needs PyYAML\n"
+        assert not (tmp_path / "compose").exists()
+        # Descriptor and edge-CSV input do not need it.
+        edges = tmp_path / "deps.csv"
+        edges.write_text("source,target\nA,B\n", encoding="utf-8")
+        for source in (write_descriptor(tmp_path, SINGLE_EDGE_DESCRIPTOR), edges):
+            assert main(["analyze", str(source), "--out", str(tmp_path / source.stem)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_python_m_runs_cli(self, tmp_path):
         out = tmp_path / "out"

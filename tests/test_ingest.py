@@ -306,6 +306,37 @@ class TestComposeParsing:
             ("010", "1.10"), ("010", "no"), ("1.10", "010"), ("db", "no"), ("no", "010"), ("no", "db"),
         )
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("services:\n  web:\n    depends_on: [db]\n  db:\n  web:\n", "line 5: duplicate key 'web'"),
+            (
+                "services:\n  web:\n    depends_on: [db]\n    depends_on: [cache]\n  db:\n  cache:\n",
+                "line 4: duplicate key 'depends_on'",
+            ),
+            ("services:\n  web:\n    depends_on: [db]\n  db:\nservices:\n  db:\n", "line 5: duplicate key 'services'"),
+            ("services: {web: {}, 'web': {}}\n", "line 1: duplicate key 'web'"),
+        ],
+        ids=["service", "depends_on", "services", "quoted-in-flow"],
+    )
+    def test_duplicate_key_rejected(self, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_compose(text)
+        assert str(excinfo.value) == message
+
+    def test_explicit_key_overrides_merged_key(self):
+        descriptor = parse_compose(
+            "x-base: &b\n"
+            "  depends_on: [db]\n"
+            "services:\n"
+            "  web:\n"
+            "    <<: *b\n"
+            "    depends_on: [cache]\n"
+            "  db:\n"
+            "  cache:\n"
+        )
+        assert descriptor.edges == (DependencyEdge("web", "cache", 1, EdgeKind.COMPOSE),)
+
     def test_bad_service_id_names_its_position(self):
         with pytest.raises(ValidationError) as excinfo:
             parse_compose('services:\n  web:\n  "a,b":\n')
