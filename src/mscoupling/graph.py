@@ -4,8 +4,9 @@ Nodes are services, edges are weighted structural dependencies between
 them.  Each record type checks its own fields on construction, so every
 parser and library caller gets the same rules.  A :class:`ServiceGraph`
 is an immutable value that can be shared freely between analysis tasks.
-The neighbour maps sum edge weights, so three recorded calls from A to B
-count as three dependencies, not one.
+The constructor builds, once, each service's neighbour maps (three calls
+from A to B weigh 3, not 1), sorted neighbours and ``(out, in)`` degree
+pair, and the largest degree; every method and metric reads these tables.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class EdgeKind(str, Enum):
     DECLARED = "declared"
 
 
+_KINDS = {kind.value: kind for kind in EdgeKind}  # both record paths: a dict lookup is far cheaper than EdgeKind(value)
+
+
 @dataclass(frozen=True)
 class ServiceNode:
     """A service, optionally annotated with its size.
@@ -104,15 +108,15 @@ class DependencyEdge:
             raise ValidationError(f"edge {_endpoints(self)}: weight must be at most 2**53")
         if not isinstance(self.kind, EdgeKind):
             try:
-                object.__setattr__(self, "kind", EdgeKind(self.kind))
-            except ValueError:
+                object.__setattr__(self, "kind", _KINDS[self.kind])
+            except (KeyError, TypeError):  # TypeError: an unhashable kind
                 raise ValidationError(f"edge {_endpoints(self)}: unknown kind {_shown(self.kind)}") from None
 
 
 def _records_from_columns(ids, classes, locs, sources, targets, weights, kinds) -> tuple[tuple, tuple] | None:
     """These field columns' records, built without ``__post_init__``, if each column plainly passes it; else None."""
     try:
-        kinds, names = list(map({kind.value: kind for kind in EdgeKind}.get, kinds)), {*ids, *sources, *targets}
+        kinds, names = list(map(_KINDS.get, kinds)), {*ids, *sources, *targets}
     except TypeError:  # an unhashable id or kind
         return None
     if (
@@ -173,9 +177,11 @@ class ServiceGraph:
         # Each key keeps its first checked record; only a repeated key builds a summed one.
         edges = (merged[key] for key in sorted(merged))
         object.__setattr__(self, "edges", tuple(e if e.weight == w else replace(e, weight=w) for e, w in edges))
-        # Per service, kinds merged: total weight to each provider (_out) and from each client (_in).
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", in_)
+        # Per service, kinds merged: weight to each provider (_out) and from each client (_in), neighbours, degrees.
+        neighbours = {s: tuple(sorted(out[s].keys() | in_[s].keys())) for s in ids}
+        degrees = {s: (sum(out[s].values()), sum(in_[s].values())) for s in ids}
+        max_degree = max(map(sum, degrees.values()), default=0)
+        self.__dict__.update(_out=out, _in=in_, _neighbours=neighbours, _degrees=degrees, _max_degree=max_degree)
 
     # -- construction -----------------------------------------------------
 
@@ -211,7 +217,8 @@ class ServiceGraph:
 
     def node_degree(self, service: ServiceId) -> int:
         """Total dependency weight incident to the service, both directions."""
-        return sum(self.providers(service).values()) + sum(self.clients(service).values())
+        self._require(service)
+        return sum(self._degrees[service])
 
     def max_node_degree(self) -> int:
         """Largest node degree in the graph; 0 when there are no edges."""
@@ -219,15 +226,7 @@ class ServiceGraph:
             raise EmptyGraph("max degree of an empty graph is undefined")
         return self._max_degree
 
-    @cached_property
-    def _max_degree(self) -> int:
-        return max(self.node_degree(service) for service in self._out)
-
     # -- structure --------------------------------------------------------
-
-    def _neighbors(self, service: ServiceId) -> list[ServiceId]:
-        """Services with a dependency to or from ``service``, sorted."""
-        return sorted(self._out[service].keys() | self._in[service].keys())
 
     def connected_pairs(self) -> tuple[tuple[ServiceId, ServiceId], ...]:
         """All ordered pairs with at least one dependency, both orientations.
@@ -235,7 +234,7 @@ class ServiceGraph:
         Sorted lexicographically by (first, second) for deterministic
         downstream reports.
         """
-        return tuple((s1, s2) for s1 in self._out for s2 in self._neighbors(s1))
+        return tuple((s1, s2) for s1, neighbours in self._neighbours.items() for s2 in neighbours)
 
     def articulation_services(self) -> frozenset[ServiceId]:
         """Services whose removal disconnects the undirected projection."""
@@ -248,13 +247,13 @@ class ServiceGraph:
         low: dict[str, int] = {}
         cut: set[str] = set()
         counter = 0
-        for root in self._out:
+        for root in self._neighbours:
             if root in order:
                 continue
             order[root] = low[root] = counter
             counter += 1
             root_children = 0
-            stack = [(root, None, iter(self._neighbors(root)))]
+            stack = [(root, None, iter(self._neighbours[root]))]
             while stack:
                 current, parent, neighbors = stack[-1]
                 for neighbor in neighbors:
@@ -265,7 +264,7 @@ class ServiceGraph:
                     else:
                         order[neighbor] = low[neighbor] = counter
                         counter += 1
-                        stack.append((neighbor, current, iter(self._neighbors(neighbor))))
+                        stack.append((neighbor, current, iter(self._neighbours[neighbor])))
                         break
                 else:  # every neighbour seen: leave ``current``
                     stack.pop()

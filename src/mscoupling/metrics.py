@@ -134,10 +134,10 @@ def pair_matrix(graph: ServiceGraph) -> tuple[PairRow, ...]:
     """
     classes: dict[tuple[int, int], PairMetrics] = {}
     rows = []
-    # The neighbour maps are read directly: they hold every service, in sorted order.
-    for s1, providers in graph._out.items():
-        clients = graph._in[s1]
-        for s2 in graph._neighbors(s1):
+    # The graph's tables are read directly: they hold every service, in sorted order.
+    for s1, neighbours in graph._neighbours.items():
+        providers, clients = graph._out[s1], graph._in[s1]
+        for s2 in neighbours:
             key = providers.get(s2, 0), clients.get(s2, 0)
             if (pair := classes.get(key)) is None:
                 pair = classes[key] = pair_metrics(graph, s1, s2)
@@ -155,7 +155,7 @@ def service_table(graph: ServiceGraph) -> tuple[ServiceMetrics, ...]:
     rows = []
     for node in graph.nodes:
         providers, clients = graph._out[node.id], graph._in[node.id]
-        outdegree, indegree = sum(providers.values()), sum(clients.values())
+        outdegree, indegree = graph._degrees[node.id]
         rows.append(
             ServiceMetrics(
                 id=node.id,

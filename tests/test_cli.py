@@ -154,7 +154,8 @@ class TestAnalyze:
         monkeypatch.setattr(ServiceGraph, "node_degree", counting)
         assert main(["analyze", str(source), "--out", str(tmp_path / "out"), "--emit", "csv,dot,svg"]) == 0
         capsys.readouterr()
-        assert queried == Counter({"api": 1, "auth": 1, "db": 1, "web": 1, "worker": 1})
+        # The constructor computes each degree once; no metric or drawing asks for one again.
+        assert queried == Counter()
 
     def test_emit_selection(self, tmp_path):
         source = write_descriptor(tmp_path, SINGLE_EDGE_DESCRIPTOR)
