@@ -141,11 +141,12 @@ def _descriptor_records(document: dict, key: str, label: str, fields: frozenset[
     return records
 
 
-def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
+def parse_edge_csv(text: str, name: str = "edges") -> ProjectDescriptor:
     """Parse an edge list CSV with header ``source,target[,weight[,kind]]``.
 
-    Blank lines are skipped; empty optional cells fall back to the
-    defaults (weight 1, kind call).
+    The services are the endpoints, sorted, without class counts.
+    Blank lines are skipped; absent or empty optional cells fall back
+    to the defaults (weight 1, kind call).
     """
     import csv
     import io
@@ -154,13 +155,12 @@ def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
     header: list[str] | None = None
     edges: list[DependencyEdge] = []
     for row in _csv_records(reader):
-        if not row or all(not cell.strip() for cell in row):
-            continue
         cells = [cell.strip() for cell in row]
+        if not any(cells):
+            continue
         if header is None:
             header = [cell.lower() for cell in cells]
-            expected = ["source", "target", "weight", "kind"][: len(header)]
-            if len(header) < 2 or len(header) > 4 or header != expected:
+            if len(header) < 2 or header != ["source", "target", "weight", "kind"][: len(header)]:
                 raise ParseError(
                     f"header must be source,target[,weight[,kind]], got {_shown(','.join(cells))}",
                     line=reader.line_num,
@@ -170,20 +170,19 @@ def parse_edge_csv(text: str) -> tuple[DependencyEdge, ...]:
             raise ParseError(
                 f"expected {len(header)} columns, got {len(cells)}", line=reader.line_num
             )
-        weight = 1
-        if len(cells) >= 3 and cells[2]:
-            try:
-                weight = int(cells[2])
-            except ValueError:
-                raise ParseError(f"weight {_shown(cells[2])} is not an integer", line=reader.line_num) from None
-        kind = cells[3] if len(cells) >= 4 and cells[3] else EdgeKind.CALL
+        source, target, weight, kind = cells + [""] * (4 - len(cells))
         try:
-            edges.append(DependencyEdge(cells[0], cells[1], weight, kind))
+            weight = int(weight) if weight else 1
+        except ValueError:
+            raise ParseError(f"weight {_shown(weight)} is not an integer", line=reader.line_num) from None
+        try:
+            edges.append(DependencyEdge(source, target, weight, kind or EdgeKind.CALL))
         except CouplingError as exc:
             raise ParseError(str(exc), line=reader.line_num) from None
     if header is None:
         raise ParseError("missing header row")
-    return tuple(edges)
+    endpoints = sorted({end for edge in edges for end in (edge.source, edge.target)})
+    return ProjectDescriptor(name, tuple(map(ServiceNode, endpoints)), tuple(edges))
 
 
 def _csv_records(reader):
@@ -350,9 +349,8 @@ def load_project(path: Path, fmt: str = "auto") -> tuple[ServiceGraph, ProjectDe
 
     ``fmt`` is one of ``auto | descriptor | edges | compose``; in auto
     mode the format is inferred from the file extension.  The file must
-    be UTF-8, optionally with a byte order mark.  Edge-CSV services are
-    auto-declared from the endpoints (without class counts); edge-CSV
-    and compose projects take the file stem as their name.
+    be UTF-8, optionally with a byte order mark.  Edge-CSV and compose
+    projects take the file stem as their name.
     """
     path = Path(path)
     if fmt not in FORMATS:
@@ -368,9 +366,7 @@ def load_project(path: Path, fmt: str = "auto") -> tuple[ServiceGraph, ProjectDe
         if fmt == "descriptor":
             descriptor = parse_project_descriptor(text)
         elif fmt == "edges":
-            edges = parse_edge_csv(text)
-            endpoints = sorted({end for edge in edges for end in (edge.source, edge.target)})
-            descriptor = ProjectDescriptor(path.stem, tuple(ServiceNode(service) for service in endpoints), edges)
+            descriptor = parse_edge_csv(text, name=path.stem)
         else:
             descriptor = parse_compose(text, name=path.stem)
     except UnicodeDecodeError as exc:

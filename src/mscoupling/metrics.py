@@ -8,9 +8,10 @@ pair::
 where ``lwf = (1 + outdegree) / (1 + degree)`` weights how much of the
 pair's coupling the first service originates, and ``gwf = degree /
 max node degree`` situates the pair against the busiest service in the
-system.  Values lie in [0, 1): higher means the pair's dependencies are
-heavier relative to the rest of the system.  Unconnected pairs have no
-value at all (not zero) and are excluded from every statistic.
+system.  The pair's degree cancels, ``sc = 1 - lwf / max node degree``,
+so values lie in ``[1 - 1 / max node degree, 1)`` and SC ranks a
+project's pairs exactly as LWF does.  Unconnected pairs have no value at
+all (not zero) and are excluded from every statistic.
 
 Alongside it the module computes the classic per-service coupling
 numbers: CBM (outgoing calls per class), AIS (distinct clients), ADS
@@ -21,8 +22,8 @@ Every pair value depends only on the pair's ``(outdegree, indegree)``
 class and the graph's max node degree, and a project has far fewer
 classes than pairs.  So the pair table holds ``(s1, s2, PairMetrics)``
 rows that share one :class:`PairMetrics` per class.  The summaries run
-over the rows in pair order; their stdev is exact and matches
-``statistics.pstdev`` bit for bit.
+over the rows in pair order; their stdev is exact and, on Python >= 3.11,
+matches ``statistics.pstdev`` bit for bit.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetri
 
 
 def structural_coupling(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
-    """Structural coupling of the ordered pair, in [0, 1)."""
+    """Structural coupling of the ordered pair, ``1 - lwf / max node degree``, in ``[1 - 1 / max node degree, 1)``."""
     return pair_metrics(graph, s1, s2).sc
 
 

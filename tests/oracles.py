@@ -8,7 +8,10 @@ under test.  Slow and obvious on purpose.  The one exception,
 
 from __future__ import annotations
 
+import math
 import statistics
+import struct
+from fractions import Fraction
 from pathlib import Path
 
 
@@ -47,6 +50,25 @@ def stats(values):
         return (0, None, None, None, None, None)
     total = sum(values)
     return (len(values), max(values), total / len(values), statistics.median(values), statistics.pstdev(values), total)
+
+
+def is_rounded_pstdev(values, stdev):
+    """Whether ``stdev`` is the float nearest the square root of the exact population variance, ties to even.
+
+    The variance is computed in fractions; the root is bracketed by the
+    midpoints between ``stdev`` and its neighbouring floats, so no square
+    root is taken.
+    """
+    xs = [Fraction(value) for value in values]
+    mean = sum(xs) / len(xs)
+    variance = sum((x - mean) ** 2 for x in xs) / len(xs)
+    if not (math.isfinite(stdev) and stdev >= 0):
+        return False
+    below, above = ((Fraction(stdev) + Fraction(math.nextafter(stdev, side))) / 2 for side in (-math.inf, math.inf))
+    even = struct.unpack("<Q", struct.pack("<d", stdev))[0] % 2 == 0
+    fits_below = stdev == 0 or below * below < variance or (below * below == variance and even)
+    fits_above = variance < above * above or (variance == above * above and even)
+    return fits_below and fits_above
 
 
 def pair_matrix_csv(analysis, metric, places):

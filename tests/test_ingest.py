@@ -7,6 +7,7 @@ import glob
 import json
 import logging
 import os
+import pathlib
 import pickle
 
 import pytest
@@ -149,31 +150,31 @@ class TestDescriptorParsing:
 
 class TestEdgeCsvParsing:
     def test_minimal(self):
-        entries = parse_edge_csv("source,target\nA,B\n")
+        entries = parse_edge_csv("source,target\nA,B\n").edges
         assert entries == (DependencyEdge("A", "B", 1, EdgeKind.CALL),)
 
     def test_weight_column(self):
-        entries = parse_edge_csv("source,target,weight\nA,B,3\n")
+        entries = parse_edge_csv("source,target,weight\nA,B,3\n").edges
         assert entries[0].weight == 3
 
     def test_kind_column(self):
-        entries = parse_edge_csv("source,target,weight,kind\nA,B,2,compose\n")
+        entries = parse_edge_csv("source,target,weight,kind\nA,B,2,compose\n").edges
         assert entries[0].kind is EdgeKind.COMPOSE
 
     def test_empty_optional_cells_use_defaults(self):
-        entries = parse_edge_csv("source,target,weight,kind\nA,B,,\n")
+        entries = parse_edge_csv("source,target,weight,kind\nA,B,,\n").edges
         assert entries[0].weight == 1
         assert entries[0].kind is EdgeKind.CALL
 
     def test_header_case_insensitive(self):
-        assert parse_edge_csv("Source,Target\nA,B\n") == (DependencyEdge("A", "B"),)
+        assert parse_edge_csv("Source,Target\nA,B\n").edges == (DependencyEdge("A", "B"),)
 
     def test_blank_lines_skipped(self):
-        entries = parse_edge_csv("source,target\n\nA,B\n\n\nB,C\n")
+        entries = parse_edge_csv("source,target\n\nA,B\n\n\nB,C\n").edges
         assert [(e.source, e.target) for e in entries] == [("A", "B"), ("B", "C")]
 
     def test_header_only(self):
-        assert parse_edge_csv("source,target\n") == ()
+        assert parse_edge_csv("source,target\n").edges == ()
 
     def test_missing_header(self):
         with pytest.raises(ParseError) as excinfo:
@@ -424,7 +425,10 @@ class TestSourceCounting:
             return scandir(path)
 
         monkeypatch.setattr(os, "scandir", guarded)
-        # From 3.13, Path.rglob lists directories through glob._StringGlobber.scandir, bound at import.
+        # Path.rglob lists directories through a name bound to os.scandir at import:
+        # pathlib._NormalAccessor.scandir on 3.10, glob._StringGlobber.scandir from 3.13.
+        if hasattr(pathlib, "_NormalAccessor"):
+            monkeypatch.setattr(pathlib._NormalAccessor, "scandir", staticmethod(guarded))
         if hasattr(glob, "_StringGlobber"):
             monkeypatch.setattr(glob._StringGlobber, "scandir", staticmethod(guarded))
         assert _count_units(tmp_path) == oracles.source_units(tmp_path) == 1
@@ -555,6 +559,16 @@ class TestLoadProject:
         backward = tmp_path / "b.csv"
         backward.write_text("source,target\nB,C\nA,B\n")
         assert load_project(forward)[0] == load_project(backward)[0]
+
+    def test_edge_csv_reader_returns_the_loaded_project(self, tmp_path):
+        # Blank and whitespace-only rows, padded and empty optional cells, and a repeated record.
+        text = "source, Target ,weight,kind\n\nweb , db,,\n  ,  , ,\napi,web, 2 ,\nweb,db,,\n\n"
+        path = tmp_path / "deps.csv"
+        path.write_text(text)
+        graph, descriptor = load_project(path)
+        assert parse_edge_csv(text, "deps") == descriptor
+        assert build_graph(parse_edge_csv(text, "deps")) == graph
+        assert dict(graph.providers("web")) == {"db": 2}
 
 
 class TestLoadCorpus:

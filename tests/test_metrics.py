@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import astuple
 
 import pytest
@@ -33,6 +34,21 @@ _STAT_VALUES = st.one_of(
     st.integers(-(2**53), 2**53).map(float),
     st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300, 2.0**53)),
 )
+
+
+def assert_exact_stdev(values, stdev):
+    """``stdev`` is the correctly rounded population deviation; from 3.11 ``statistics.pstdev`` is too, bit for bit."""
+    assert oracles.is_rounded_pstdev(values, stdev)
+    if sys.version_info >= (3, 11):
+        assert stdev == statistics.pstdev(values)
+
+
+def assert_matches_stats(summary, values):
+    """``summary`` equals ``oracles.stats(values)`` bit for bit, its stdev checked by ``assert_exact_stdev``."""
+    stats, expected = astuple(summary), oracles.stats(values)
+    if values:
+        assert_exact_stdev(values, stats[4])
+    assert repr(stats[:4] + stats[5:]) == repr(expected[:4] + expected[5:])
 
 
 def service_rows(graph):
@@ -369,7 +385,7 @@ class TestMetricProperties:
         assert summary.max == max(values)
         assert summary.avg == pytest.approx(statistics.fmean(values), abs=1e-9)
         assert summary.median == statistics.median(values)
-        assert summary.stdev == statistics.pstdev(values)
+        assert_exact_stdev(values, summary.stdev)
         assert math.isfinite(summary.total)
 
     @given(st.lists(st.tuples(_STAT_VALUES, st.integers(1, 40)), min_size=1, max_size=12))
@@ -380,7 +396,7 @@ class TestMetricProperties:
         assert summary.count == len(data)
         assert summary.max == max(data)
         assert summary.median == statistics.median(data)
-        assert summary.stdev == statistics.pstdev(data)
+        assert_exact_stdev(data, summary.stdev)
         assert summary.total == sum(data)
 
 
@@ -405,6 +421,6 @@ class TestPairClasses:
         summary = project_summary(analysis, "p")
         for metric in ("degree", "lwf", "gwf", "sc"):
             values = [float(getattr(pair_metrics(graph, s1, s2), metric)) for s1, s2 in pairs]
-            assert repr(astuple(getattr(summary, metric))) == repr(oracles.stats(values))
+            assert_matches_stats(getattr(summary, metric), values)
         cbm = [row.cbm for row in analysis.services if row.cbm is not None]
-        assert repr(astuple(summary.cbm)) == repr(oracles.stats(cbm))
+        assert_matches_stats(summary.cbm, cbm)
