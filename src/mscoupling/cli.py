@@ -24,7 +24,7 @@ from . import metrics, report
 from .errors import CouplingError, ValidationError, _shown
 from .graph import ServiceGraph
 from .ingest import FORMATS, load_corpus, load_project
-from .metrics import Analysis, ProjectSummary
+from .metrics import ProjectSummary
 from .report import RenderOptions
 from .sample import SAMPLE_PROJECT_NAME, sample_graph
 
@@ -128,14 +128,16 @@ def _summary_line(graph: ServiceGraph, summary: ProjectSummary, options: RenderO
     )
 
 
-def _write_outputs(
-    analysis: Analysis, out_dir: Path, emit: tuple[str, ...], options: RenderOptions, summary: ProjectSummary | None = None
-) -> None:
-    """Write the outputs named in ``emit`` to ``out_dir``; csv needs ``summary``.
+def _analyze_graph(
+    graph: ServiceGraph, name: str, out_dir: Path, emit: tuple[str, ...], options: RenderOptions
+) -> tuple[ProjectSummary, str]:
+    """Write the outputs named in ``emit`` to ``out_dir``; return the project summary and its summary line.
 
     Every text is computed before anything is written, and outputs of an
     earlier run that this one did not produce are removed afterwards.
     """
+    analysis = metrics.analyze(graph)
+    summary = metrics.project_summary(analysis, name)
     files: dict[str, str] = {}
     if "csv" in emit:
         files["service_metrics.csv"] = report.emit_service_metrics_csv(analysis, options)
@@ -147,15 +149,6 @@ def _write_outputs(
     if "svg" in emit:
         files["graph.svg"] = report.emit_svg(analysis, options)
     _write_files(out_dir, files, OUTPUT_NAMES)
-
-
-def _analyze_graph(
-    graph: ServiceGraph, name: str, out_dir: Path, emit: tuple[str, ...], options: RenderOptions
-) -> tuple[ProjectSummary, str]:
-    """Write the full analysis; return the project summary and its summary line."""
-    analysis = metrics.analyze(graph)
-    summary = metrics.project_summary(analysis, name)
-    _write_outputs(analysis, out_dir, emit, options, summary)
     return summary, _summary_line(graph, summary, options)
 
 
@@ -174,8 +167,8 @@ def cmd_render(args: argparse.Namespace, emit: tuple[str, ...], options: RenderO
     emit = tuple(target for target in emit if target in ("dot", "svg"))
     if not emit:
         raise ValidationError("render emits only dot/svg; pass --emit dot,svg")
-    graph, _ = load_project(args.input, args.fmt)
-    _write_outputs(metrics.analyze(graph), args.out, emit, options)
+    graph, descriptor = load_project(args.input, args.fmt)
+    _analyze_graph(graph, descriptor.name, args.out, emit, options)
     return EXIT_OK
 
 

@@ -514,6 +514,27 @@ class TestRender:
         assert capsys.readouterr() == ("", "error: render emits only dot/svg; pass --emit dot,svg\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("filename", "content", "fmt"),
+        [
+            ("hub.json", json.dumps(HUB_DESCRIPTOR), []),
+            ("solo.json", json.dumps({"name": "solo", "services": [{"id": "A"}], "edges": []}), []),
+            ("edges.txt", "source,target,weight\nA,B,2\nB,C,1\n", ["--format", "edges"]),
+        ],
+        ids=["hub-and-mutual-pair", "one-service", "edge-list-txt"],
+    )
+    def test_draws_what_analyze_draws(self, tmp_path, capsys, filename, content, fmt):
+        source = tmp_path / filename
+        source.write_text(content, encoding="utf-8")
+        drawings = {}
+        for command in ("render", "analyze"):
+            out = tmp_path / command
+            assert main([command, str(source), "--out", str(out), "--emit", "dot,svg", *fmt]) == 0
+            if command == "render":
+                assert capsys.readouterr().out == ""
+            drawings[command] = {name: (out / name).read_bytes() for name in ("graph.dot", "graph.svg")}
+        assert drawings["render"] == drawings["analyze"]
+
 
 class TestCorpus:
     def test_analyzes_every_project(self, tmp_path, capsys):
