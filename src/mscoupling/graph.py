@@ -11,7 +11,6 @@ pair, and the largest degree; every method and metric reads these tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -49,8 +48,40 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _endpoints(edge: DependencyEdge) -> str:
-    return f"{_shown(edge.source)}->{_shown(edge.target)}"
+def _endpoints(source: ServiceId, target: ServiceId) -> str:
+    return f"{_shown(source)}->{_shown(target)}"
+
+
+class _Record:
+    """A frozen dataclass's value semantics for a record whose ``__init__`` stores its parameters as its fields.
+
+    Equality and hash by class and field values, the same repr, AttributeError on assignment or deletion.
+    """
+
+    def __init_subclass__(cls):
+        code, defaults = cls.__init__.__code__, cls.__init__.__defaults__ or ()
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        for name, default in zip(cls._fields[len(cls._fields) - len(defaults) :], defaults):
+            setattr(cls, name, default)  # as on a dataclass: RenderOptions.decimal_places reads 2
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class EdgeKind(str, Enum):
@@ -64,57 +95,47 @@ class EdgeKind(str, Enum):
 _KINDS = {kind.value: kind for kind in EdgeKind}  # both record paths: a dict lookup is far cheaper than EdgeKind(value)
 
 
-@dataclass(frozen=True)
-class ServiceNode:
+class ServiceNode(_Record):
     """A service, optionally annotated with its size.
 
     ``class_count`` is the number of source classes in the service and
     feeds the CBM metric; ``loc`` is informational only.
     """
 
-    id: ServiceId
-    class_count: int | None = None
-    loc: int | None = None
-
-    def __post_init__(self):
-        _check_id(self.id)
-        for field_name in ("class_count", "loc"):
-            value = getattr(self, field_name)
+    def __init__(self, id: ServiceId, class_count: int | None = None, loc: int | None = None):
+        _check_id(id)
+        for field_name, value in (("class_count", class_count), ("loc", loc)):
             if value is not None and (not _is_int(value) or value < 0):
                 raise ValidationError(
-                    f"service {_shown(self.id)}: {field_name} must be a non-negative integer, got {_shown(value)}"
+                    f"service {_shown(id)}: {field_name} must be a non-negative integer, got {_shown(value)}"
                 )
+        vars(self).update(id=id, class_count=class_count, loc=loc)
 
 
-@dataclass(frozen=True)
-class DependencyEdge:
+class DependencyEdge(_Record):
     """A weighted directed dependency record between two services."""
 
-    source: ServiceId
-    target: ServiceId
-    weight: int = 1
-    kind: EdgeKind = EdgeKind.CALL
-
-    def __post_init__(self):
-        _check_id(self.source)
-        _check_id(self.target)
-        if self.source == self.target:
-            raise SelfDependency(f"service {_shown(self.source)} cannot depend on itself")
-        if not _is_int(self.weight) or self.weight < 1:
+    def __init__(self, source: ServiceId, target: ServiceId, weight: int = 1, kind: EdgeKind = EdgeKind.CALL):
+        _check_id(source)
+        _check_id(target)
+        if source == target:
+            raise SelfDependency(f"service {_shown(source)} cannot depend on itself")
+        if not _is_int(weight) or weight < 1:
             raise ValidationError(
-                f"edge {_endpoints(self)}: weight must be a positive integer, got {_shown(self.weight)}"
+                f"edge {_endpoints(source, target)}: weight must be a positive integer, got {_shown(weight)}"
             )
-        if self.weight > MAX_WEIGHT:
-            raise ValidationError(f"edge {_endpoints(self)}: weight must be at most 2**53")
-        if not isinstance(self.kind, EdgeKind):
+        if weight > MAX_WEIGHT:
+            raise ValidationError(f"edge {_endpoints(source, target)}: weight must be at most 2**53")
+        if not isinstance(kind, EdgeKind):
             try:
-                object.__setattr__(self, "kind", _KINDS[self.kind])
+                kind = _KINDS[kind]
             except (KeyError, TypeError):  # TypeError: an unhashable kind
-                raise ValidationError(f"edge {_endpoints(self)}: unknown kind {_shown(self.kind)}") from None
+                raise ValidationError(f"edge {_endpoints(source, target)}: unknown kind {_shown(kind)}") from None
+        vars(self).update(source=source, target=target, weight=weight, kind=kind)
 
 
 def _records_from_columns(ids, classes, locs, sources, targets, weights, kinds) -> tuple[tuple, tuple] | None:
-    """These field columns' records, built without ``__post_init__``, if each column plainly passes it; else None."""
+    """These field columns' records, built without their checks, if each column plainly passes it; else None."""
     try:
         kinds, names = list(map(_KINDS.get, kinds)), {*ids, *sources, *targets}
     except TypeError:  # an unhashable id or kind
@@ -136,8 +157,7 @@ def _records_from_columns(ids, classes, locs, sources, targets, weights, kinds) 
     return nodes, tuple(record(DependencyEdge, source=s, target=t, weight=w, kind=k) for s, t, w, k in edges)
 
 
-@dataclass(frozen=True)
-class ServiceGraph:
+class ServiceGraph(_Record):
     """Immutable directed multigraph of services.
 
     The constructor owns the graph rules, checked in input order with the
@@ -146,42 +166,41 @@ class ServiceGraph:
     (source, target, kind) triple.  Nodes and edges are stored sorted.
     """
 
-    nodes: tuple[ServiceNode, ...] = ()
-    edges: tuple[DependencyEdge, ...] = ()
-
-    def __post_init__(self):
+    def __init__(self, nodes: tuple[ServiceNode, ...] = (), edges: tuple[DependencyEdge, ...] = ()):
         by_id: dict[ServiceId, ServiceNode] = {}
-        for position, node in enumerate(self.nodes):
+        for i, node in enumerate(nodes):
             if node.id in by_id:
-                raise DuplicateService(f"service #{position}: service {_shown(node.id)} declared twice")
+                raise DuplicateService(f"service #{i}: service {_shown(node.id)} declared twice")
             by_id[node.id] = node
         ids = sorted(by_id)
         out: dict[ServiceId, dict[ServiceId, int]] = {service: {} for service in ids}
         in_: dict[ServiceId, dict[ServiceId, int]] = {service: {} for service in ids}
         merged: dict[tuple[str, str, EdgeKind], tuple[DependencyEdge, int]] = {}
-        for position, edge in enumerate(self.edges):
+        for i, edge in enumerate(edges):
             source, target, weight = edge.source, edge.target, edge.weight
             if source not in by_id or target not in by_id:
                 missing = _shown(target if source in by_id else source)
-                raise UnknownService(f"edge #{position} {_endpoints(edge)} references undeclared service {missing}")
+                raise UnknownService(f"edge #{i} {_endpoints(source, target)} references undeclared service {missing}")
             key = (source, target, edge.kind)
             first, total = merged.get(key, (edge, 0))
             if (total := total + weight) > MAX_WEIGHT:
-                raise ValidationError(f"edge #{position} {_endpoints(edge)}: merged weight must be at most 2**53")
+                raise ValidationError(f"edge #{i} {_endpoints(source, target)}: merged weight must be at most 2**53")
             merged[key] = first, total
             providers, clients = out[source], in_[target]
             providers[target] = providers.get(target, 0) + weight
             clients[source] = clients.get(source, 0) + weight
-        object.__setattr__(self, "nodes", tuple(by_id[service] for service in ids))
         # EdgeKind is a str enum, so the keys sort by (source, target, kind value).
         # Each key keeps its first checked record; only a repeated key builds a summed one.
         edges = (merged[key] for key in sorted(merged))
-        object.__setattr__(self, "edges", tuple(e if e.weight == w else replace(e, weight=w) for e, w in edges))
+        edges = tuple(e if e.weight == w else DependencyEdge(e.source, e.target, w, e.kind) for e, w in edges)
         # Per service, kinds merged: weight to each provider (_out) and from each client (_in), neighbours, degrees.
         neighbours = {s: tuple(sorted(out[s].keys() | in_[s].keys())) for s in ids}
         degrees = {s: (sum(out[s].values()), sum(in_[s].values())) for s in ids}
         max_degree = max(map(sum, degrees.values()), default=0)
-        self.__dict__.update(_out=out, _in=in_, _neighbours=neighbours, _degrees=degrees, _max_degree=max_degree)
+        vars(self).update(
+            nodes=tuple(by_id[service] for service in ids), edges=edges,
+            _out=out, _in=in_, _neighbours=neighbours, _degrees=degrees, _max_degree=max_degree,
+        )
 
     # -- construction -----------------------------------------------------
 

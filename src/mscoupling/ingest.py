@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import repeat
 from pathlib import Path
 
 from .errors import CouplingError, ParseError, ValidationError, _shown
-from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode, _check_id, _records_from_columns
+from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode, _check_id, _Record, _records_from_columns
 
 DESCRIPTOR_FILENAME = "project.json"
 SOURCE_SUFFIX = ".java"
@@ -39,26 +38,33 @@ def _warn(message: str, *args: object) -> None:
     logging.getLogger(__name__).warning(message, *args, stacklevel=2)
 
 
-@dataclass(frozen=True)
-class ProjectDescriptor:
+class ProjectDescriptor(_Record):
     """A parsed project: its services and its raw, unmerged dependency records.
 
     ``source_dirs`` maps a service id to a directory, relative to the
     descriptor, whose source files give the class count when the
-    service declares none.
+    service declares none; it defaults to a new empty dict.
     """
 
-    name: str
-    services: tuple[ServiceNode, ...] = ()
-    edges: tuple[DependencyEdge, ...] = ()
-    source_dirs: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_id(self.name, "project name")
+    def __init__(
+        self, name: str, services: tuple[ServiceNode, ...] = (), edges: tuple[DependencyEdge, ...] = (),
+        source_dirs: dict[str, str] | None = None,
+    ):
+        _check_id(name, "project name")
+        source_dirs = {} if source_dirs is None else source_dirs
+        vars(self).update(name=name, services=services, edges=edges, source_dirs=source_dirs)
 
 
 _SERVICE_FIELDS = frozenset({"id", "classes", "loc", "source_dir"})
 _EDGE_FIELDS = frozenset({"source", "target", "weight", "kind"})
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a key given twice is a ParseError, where ``json`` alone keeps the last value."""
+    if len(document := dict(pairs)) < len(pairs):
+        seen = set()
+        raise ParseError(f"duplicate key {_shown(next(key for key, _ in pairs if key in seen or seen.add(key)))}")
+    return document
 
 
 def parse_project_descriptor(text: str) -> ProjectDescriptor:
@@ -69,7 +75,7 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
     (unique ids, declared endpoints) are checked by :class:`ServiceGraph`.
     """
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
     except ValueError as exc:  # e.g. an integer longer than the int-to-str digit limit

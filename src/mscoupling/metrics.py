@@ -31,62 +31,51 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .errors import UnconnectedPair
-from .graph import ServiceGraph, ServiceId
+from .graph import ServiceGraph, ServiceId, _Record
 
 
-@dataclass(frozen=True)
-class PairMetrics:
+class PairMetrics(_Record):
     """The values of one ``(outdegree, indegree)`` pair class, shared by its pairs."""
 
-    degree: int
-    outdegree: int
-    indegree: int
-    lwf: float
-    gwf: float
-    sc: float
+    def __init__(self, degree: int, outdegree: int, indegree: int, lwf: float, gwf: float, sc: float):
+        vars(self).update(degree=degree, outdegree=outdegree, indegree=indegree, lwf=lwf, gwf=gwf, sc=sc)
 
 
 PairRow = tuple[ServiceId, ServiceId, PairMetrics]
 
 
-@dataclass(frozen=True)
-class ServiceMetrics:
+class ServiceMetrics(_Record):
     """Degree and literature coupling values for one service.
 
     ``cbm`` is None when the service has no usable class count.
     """
 
-    id: ServiceId
-    indegree: int
-    outdegree: int
-    degree: int
-    class_count: int | None
-    cbm: float | None
-    ais: int
-    ads: int
-    acs: int
+    def __init__(
+        self, id: ServiceId, indegree: int, outdegree: int, degree: int, class_count: int | None, cbm: float | None,
+        ais: int, ads: int, acs: int,
+    ):
+        vars(self).update(
+            id=id, indegree=indegree, outdegree=outdegree, degree=degree, class_count=class_count, cbm=cbm,
+            ais=ais, ads=ads, acs=acs,
+        )
 
 
-@dataclass(frozen=True)
-class StatSummary:
+class StatSummary(_Record):
     """Descriptive statistics of one metric; all stats absent when empty."""
 
-    count: int
-    max: float | None = None
-    avg: float | None = None
-    median: float | None = None
-    stdev: float | None = None
-    total: float | None = None
+    def __init__(
+        self, count: int, max: float | None = None, avg: float | None = None, median: float | None = None,
+        stdev: float | None = None, total: float | None = None,
+    ):
+        vars(self).update(count=count, max=max, avg=avg, median=median, stdev=stdev, total=total)
 
 
-@dataclass(frozen=True)
-class ProjectSummary:
+class ProjectSummary(_Record):
     """One project's descriptive statistics, one summary per metric.
 
     The degree/lwf/gwf/sc summaries run over all connected ordered
@@ -94,13 +83,11 @@ class ProjectSummary:
     services where CBM is defined and has count 0 when it never is.
     """
 
-    project_name: str
-    degree: StatSummary
-    lwf: StatSummary
-    gwf: StatSummary
-    sc: StatSummary
-    cbm: StatSummary
-    siy: int
+    def __init__(
+        self, project_name: str, degree: StatSummary, lwf: StatSummary, gwf: StatSummary, sc: StatSummary,
+        cbm: StatSummary, siy: int,
+    ):
+        vars(self).update(project_name=project_name, degree=degree, lwf=lwf, gwf=gwf, sc=sc, cbm=cbm, siy=siy)
 
 
 def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetrics:
@@ -110,16 +97,9 @@ def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetri
     degree = outdegree + indegree
     if degree == 0:  # a service never depends on itself, so this covers s1 == s2
         raise UnconnectedPair(f"no dependencies between {s1!r} and {s2!r}")
-    local = (1 + outdegree) / (1 + degree)
-    global_ = degree / graph.max_node_degree()
-    return PairMetrics(
-        degree=degree,
-        outdegree=outdegree,
-        indegree=indegree,
-        lwf=local,
-        gwf=global_,
-        sc=1.0 - (1.0 / degree) * local * global_,
-    )
+    lwf = (1 + outdegree) / (1 + degree)
+    gwf = degree / graph.max_node_degree()
+    return PairMetrics(degree, outdegree, indegree, lwf, gwf, sc=1.0 - (1.0 / degree) * lwf * gwf)
 
 
 def structural_coupling(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
@@ -173,13 +153,11 @@ def service_table(graph: ServiceGraph) -> tuple[ServiceMetrics, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(_Record):
     """A graph with its pair table and service table, each computed once."""
 
-    graph: ServiceGraph
-    pairs: tuple[PairRow, ...]
-    services: tuple[ServiceMetrics, ...]
+    def __init__(self, graph: ServiceGraph, pairs: tuple[PairRow, ...], services: tuple[ServiceMetrics, ...]):
+        vars(self).update(graph=graph, pairs=pairs, services=services)
 
 
 def analyze(graph: ServiceGraph) -> Analysis:

@@ -14,11 +14,10 @@ matrices share one walk over the pairs and join each matrix's text once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import EmptyGraph, ValidationError, _shown
-from .graph import ServiceId, _is_int
+from .graph import ServiceId, _is_int, _Record
 from .metrics import Analysis, ProjectSummary, ServiceMetrics
 
 PAIR_METRICS = ("degree", "lwf", "gwf", "sc")
@@ -33,23 +32,19 @@ class ColorClass(Enum):
     REGULAR = "red"
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(_Record):
     """Tunable thresholds and formatting for reports and drawings."""
 
-    hub_fraction: float = 0.6
-    hub_min_degree: int = 3
-    decimal_places: int = 2
-
-    def __post_init__(self):
-        fraction = self.hub_fraction
+    def __init__(self, hub_fraction: float = 0.6, hub_min_degree: int = 3, decimal_places: int = 2):
+        fraction = hub_fraction
         if not (isinstance(fraction, (int, float)) and not isinstance(fraction, bool) and 0 < fraction <= 1):
             raise ValidationError(f"hub_fraction must be a number in (0, 1], got {_shown(fraction)}")
-        if not _is_int(self.hub_min_degree) or self.hub_min_degree < 0:
-            raise ValidationError(f"hub_min_degree must be a non-negative integer, got {_shown(self.hub_min_degree)}")
+        if not _is_int(hub_min_degree) or hub_min_degree < 0:
+            raise ValidationError(f"hub_min_degree must be a non-negative integer, got {_shown(hub_min_degree)}")
         # a double carries at most 17 significant digits
-        if not _is_int(self.decimal_places) or not 0 <= self.decimal_places <= 17:
-            raise ValidationError(f"decimal_places must be an integer in [0, 17], got {_shown(self.decimal_places)}")
+        if not _is_int(decimal_places) or not 0 <= decimal_places <= 17:
+            raise ValidationError(f"decimal_places must be an integer in [0, 17], got {_shown(decimal_places)}")
+        vars(self).update(hub_fraction=hub_fraction, hub_min_degree=hub_min_degree, decimal_places=decimal_places)
 
 
 def classify(analysis: Analysis, row: ServiceMetrics, options: RenderOptions = RenderOptions()) -> ColorClass:

@@ -311,6 +311,23 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: invalid JSON")
 
     @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"name": "x", "services": [{"id": "a"}, {"id": "b"}], "edges": [{"source": "a", "target": "b"}],'
+             ' "edges": []}', "edges"),
+            ('{"name": "x", "services": [{"id": "a"}, {"id": "b"}],'
+             ' "edges": [{"source": "a", "target": "b", "weight": 2, "weight": 7}]}', "weight"),
+        ],
+        ids=["top-level", "in-record"],
+    )
+    def test_repeated_json_key_exits_1_naming_it(self, tmp_path, text, key, capsys):
+        source = tmp_path / "project.json"
+        source.write_text(text)
+        assert main(["analyze", str(source), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: duplicate key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "filename, text, position",
         [
             (
@@ -902,7 +919,7 @@ class TestArgumentHandling:
             "import sys\n"
             "bare = set(sys.modules)\n"
             "import mscoupling.cli\n"
-            "deferred = ('yaml', 'csv', 'logging', 'concurrent.futures', 'multiprocessing')\n"
+            "deferred = ('yaml', 'csv', 'logging', 'concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect')\n"
             "print(sorted(m for m in set(sys.modules) - bare if m.startswith(deferred)))\n"
         )
         completed = run_python("-c", code)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import networkx
 import pytest
 from hypothesis import given
@@ -15,7 +17,17 @@ from mscoupling.errors import (
     ValidationError,
 )
 from mscoupling.graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode
-from mscoupling.metrics import pair_metrics, service_table
+from mscoupling.ingest import ProjectDescriptor
+from mscoupling.metrics import (
+    Analysis,
+    PairMetrics,
+    ProjectSummary,
+    ServiceMetrics,
+    StatSummary,
+    pair_metrics,
+    service_table,
+)
+from mscoupling.report import RenderOptions
 from strategies import service_graphs
 
 
@@ -308,3 +320,96 @@ class TestGraphProperties:
         for s in graph.service_ids:
             assert graph.providers(s) == oracles.providers(raw, s)
             assert graph.clients(s) == oracles.clients(raw, s)
+
+
+_DB, _WEB = ServiceNode("db"), ServiceNode("web", 2, 40)
+_CALL = DependencyEdge("web", "db", 2)
+_GRAPH = ServiceGraph((_DB, _WEB), (_CALL,))
+_PAIR = PairMetrics(2, 2, 0, 0.75, 1.0, 0.625)
+_SERVICE = ServiceMetrics("web", 0, 2, 2, 2, 1.0, 0, 1, 0)
+_STAT = StatSummary(2, 1.0, 0.75, 0.75, 0.25, 1.5)
+_DB_REPR = "ServiceNode(id='db', class_count=None, loc=None)"
+_WEB_REPR = "ServiceNode(id='web', class_count=2, loc=40)"
+_CALL_REPR = "DependencyEdge(source='web', target='db', weight=2, kind=<EdgeKind.CALL: 'call'>)"
+_GRAPH_REPR = f"ServiceGraph(nodes=({_DB_REPR}, {_WEB_REPR}), edges=({_CALL_REPR},))"
+_PAIR_REPR = "PairMetrics(degree=2, outdegree=2, indegree=0, lwf=0.75, gwf=1.0, sc=0.625)"
+_SERVICE_REPR = (
+    "ServiceMetrics(id='web', indegree=0, outdegree=2, degree=2, class_count=2, cbm=1.0, ais=0, ads=1, acs=0)"
+)
+_STAT_REPR = "StatSummary(count=2, max=1.0, avg=0.75, median=0.75, stdev=0.25, total=1.5)"
+# Per record type: its field names in order, a full positional argument list, the defaults of its optional
+# trailing fields, and the repr of the record those arguments build.
+RECORDS = {
+    "ServiceNode": (ServiceNode, "id class_count loc", ("web", 2, 40), (None, None), _WEB_REPR),
+    "DependencyEdge": (
+        DependencyEdge, "source target weight kind", ("web", "db", 2, EdgeKind.CALL), (1, EdgeKind.CALL), _CALL_REPR
+    ),
+    "ServiceGraph": (ServiceGraph, "nodes edges", ((_DB, _WEB), (_CALL,)), ((), ()), _GRAPH_REPR),
+    "PairMetrics": (PairMetrics, "degree outdegree indegree lwf gwf sc", (2, 2, 0, 0.75, 1.0, 0.625), (), _PAIR_REPR),
+    "ServiceMetrics": (
+        ServiceMetrics, "id indegree outdegree degree class_count cbm ais ads acs", ("web", 0, 2, 2, 2, 1.0, 0, 1, 0),
+        (), _SERVICE_REPR,
+    ),
+    "StatSummary": (
+        StatSummary, "count max avg median stdev total", (2, 1.0, 0.75, 0.75, 0.25, 1.5), (None,) * 5, _STAT_REPR
+    ),
+    "ProjectSummary": (
+        ProjectSummary, "project_name degree lwf gwf sc cbm siy", ("shop", *[_STAT] * 5, 1), (),
+        f"ProjectSummary(project_name='shop', degree={_STAT_REPR}, lwf={_STAT_REPR}, gwf={_STAT_REPR}, "
+        f"sc={_STAT_REPR}, cbm={_STAT_REPR}, siy=1)",
+    ),
+    "Analysis": (
+        Analysis, "graph pairs services", (_GRAPH, (("web", "db", _PAIR),), (_SERVICE,)), (),
+        f"Analysis(graph={_GRAPH_REPR}, pairs=(('web', 'db', {_PAIR_REPR}),), services=({_SERVICE_REPR},))",
+    ),
+    "RenderOptions": (
+        RenderOptions, "hub_fraction hub_min_degree decimal_places", (0.5, 2, 3), (0.6, 3, 2),
+        "RenderOptions(hub_fraction=0.5, hub_min_degree=2, decimal_places=3)",
+    ),
+    "ProjectDescriptor": (
+        ProjectDescriptor, "name services edges source_dirs", ("shop", (_DB,), (), {"db": "src/db"}), ((), (), {}),
+        f"ProjectDescriptor(name='shop', services=({_DB_REPR},), edges=(), source_dirs={{'db': 'src/db'}})",
+    ),
+}
+
+
+class TestRecords:
+    """The ten record types keep a frozen dataclass's value semantics."""
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_value_semantics(self, name):
+        cls, fields, args, defaults, text = RECORDS[name]
+        fields = fields.split()
+        record = cls(*args)
+        assert cls(**dict(zip(fields, args))) == record
+        assert [getattr(record, field) for field in fields] == list(args)
+        required = len(fields) - len(defaults)
+        bare = cls(*args[:required])
+        assert [getattr(bare, field) for field in fields[required:]] == list(defaults)
+        for field, default in zip(fields[required:], defaults):
+            if not isinstance(default, dict):  # a fresh dict per record has no class attribute to compare
+                assert getattr(cls, field) == default  # as the CLI reads RenderOptions.decimal_places
+
+        twin, subclass = cls(*args), type("Sub", (cls,), {})
+        assert twin == record and twin is not record and not twin != record
+        assert record != tuple(args) and record != subclass(*args)
+        assert (record != bare) == bool(defaults)
+        if isinstance(args[-1], dict):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+        else:
+            assert hash(twin) == hash(record) == hash(tuple(args))
+        assert repr(record) == text
+
+        for field in (*fields, "extra"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(record, field, 1)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(record, field)
+        assert [getattr(record, field) for field in fields] == list(args)
+
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is cls and copy == record and repr(copy) == text
+
+    def test_each_descriptor_gets_its_own_source_dirs(self):
+        assert ProjectDescriptor("a").source_dirs is not ProjectDescriptor("a").source_dirs

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import glob
 import json
 import logging
@@ -734,18 +733,18 @@ class TestBulkDescriptorPath:
         assert _outcome(parse_project_descriptor, text) == _outcome(_oracle_descriptor, text)
 
     @pytest.fixture
-    def post_inits(self, monkeypatch):
-        """Calls to each record type's ``__post_init__``, which still run."""
+    def checked_inits(self, monkeypatch):
+        """Calls to each record type's checking constructor, which still run."""
         calls = {ServiceNode: 0, DependencyEdge: 0}
         for cls in calls:
-            def counted(self, original=cls.__post_init__, cls=cls):
+            def counted(self, *args, original=cls.__init__, cls=cls, **kwargs):
                 calls[cls] += 1
-                original(self)
+                original(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         return calls
 
-    def test_plain_descriptor_skips_record_checks(self, tmp_path, post_inits):
+    def test_plain_descriptor_skips_record_checks(self, tmp_path, checked_inits):
         graph = make_hub(1, 80)
         (tmp_path / "src" / "svc00").mkdir(parents=True)
         (tmp_path / "src" / "svc00" / "A.java").write_text("class A {}\n")
@@ -755,12 +754,12 @@ class TestBulkDescriptorPath:
         document = {"name": "hub", "services": services, "edges": edges}
         (tmp_path / "project.json").write_text(json.dumps(document))
         checked = _oracle_descriptor(json.dumps(document))
-        post_inits.update(dict.fromkeys(post_inits, 0))  # building the fixture graph and the oracle above counted
+        checked_inits.update(dict.fromkeys(checked_inits, 0))  # building the fixture graph and the oracle above counted
         descriptor = parse_project_descriptor(json.dumps(document))
-        assert post_inits == {ServiceNode: 0, DependencyEdge: 0}
+        assert checked_inits == {ServiceNode: 0, DependencyEdge: 0}
         assert descriptor == checked
         loaded, _ = load_project(tmp_path / "project.json")
-        assert post_inits == {ServiceNode: 1, DependencyEdge: 0}  # svc00's class count, from its source tree
+        assert checked_inits == {ServiceNode: 1, DependencyEdge: 0}  # svc00's class count, from its source tree
         assert loaded.edges == graph.edges
         assert loaded.nodes[0] == ServiceNode("svc00", class_count=1)
 
@@ -770,13 +769,14 @@ class TestBulkDescriptorPath:
         assert pickle.loads(pickle.dumps(descriptor)) == descriptor == checked
         assert list(map(hash, descriptor.services + descriptor.edges)) == list(map(hash, checked.services + checked.edges))
         assert repr(descriptor.edges) == repr(checked.edges)
-        assert dataclasses.replace(descriptor.edges[0], weight=5) == DependencyEdge("web", "db", 5)
+        edge = descriptor.edges[0]
+        assert DependencyEdge(edge.source, edge.target, 5, edge.kind) == DependencyEdge("web", "db", 5)
         with pytest.raises(ValidationError):
-            dataclasses.replace(descriptor.edges[0], weight=0)
+            DependencyEdge(edge.source, edge.target, 0, edge.kind)
 
-    def test_doubtful_descriptor_takes_the_per_record_path(self, post_inits):
+    def test_doubtful_descriptor_takes_the_per_record_path(self, checked_inits):
         parse_project_descriptor(MINIMAL_DESCRIPTOR.replace('"weight": 2', '"weight": 2, "note": "x"'))
-        assert post_inits == {ServiceNode: 2, DependencyEdge: 1}
+        assert checked_inits == {ServiceNode: 2, DependencyEdge: 1}
 
     @pytest.mark.parametrize(
         "make",
