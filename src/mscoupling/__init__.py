@@ -19,7 +19,6 @@ from .metrics import (
     analyze,
     pair_matrix,
     project_summary,
-    structural_coupling,
 )
 from .report import ColorClass, RenderOptions
 
@@ -46,7 +45,6 @@ __all__ = [
     "analyze",
     "pair_matrix",
     "project_summary",
-    "structural_coupling",
 ]
 
 __version__ = "0.1.0"

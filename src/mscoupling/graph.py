@@ -11,10 +11,10 @@ pair, and the largest degree; every method and metric reads these tables.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .errors import (
     DuplicateService,
@@ -59,10 +59,8 @@ class _Record:
     """
 
     def __init_subclass__(cls):
-        code, defaults = cls.__init__.__code__, cls.__init__.__defaults__ or ()
+        code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
-        for name, default in zip(cls._fields[len(cls._fields) - len(defaults) :], defaults):
-            setattr(cls, name, default)  # as on a dataclass: RenderOptions.decimal_places reads 2
 
     def _values(self) -> tuple:
         return tuple(map(vars(self).__getitem__, self._fields))
@@ -265,12 +263,10 @@ class ServiceGraph(_Record):
         order: dict[str, int] = {}
         low: dict[str, int] = {}
         cut: set[str] = set()
-        counter = 0
         for root in self._neighbours:
             if root in order:
                 continue
-            order[root] = low[root] = counter
-            counter += 1
+            order[root] = low[root] = len(order)
             root_children = 0
             stack = [(root, None, iter(self._neighbours[root]))]
             while stack:
@@ -281,8 +277,7 @@ class ServiceGraph(_Record):
                     if neighbor in order:
                         low[current] = min(low[current], order[neighbor])
                     else:
-                        order[neighbor] = low[neighbor] = counter
-                        counter += 1
+                        order[neighbor] = low[neighbor] = len(order)
                         stack.append((neighbor, current, iter(self._neighbours[neighbor])))
                         break
                 else:  # every neighbour seen: leave ``current``

@@ -362,6 +362,8 @@ def load_project(path: Path, fmt: str = "auto") -> tuple[ServiceGraph, ProjectDe
     if fmt not in FORMATS:
         raise ValidationError(f"unknown input format {_shown(fmt)}")
     if not path.is_file():
+        if path.exists():  # a directory, FIFO or device
+            raise OSError(f"not a file: {path}")
         raise FileNotFoundError(f"no such file: {path}")
     if fmt == "auto":
         fmt = _SUFFIX_FORMATS.get(path.suffix.lower())

@@ -31,9 +31,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterable
 from itertools import accumulate
 from operator import attrgetter, itemgetter
-from typing import Iterable
 
 from .errors import UnconnectedPair
 from .graph import ServiceGraph, ServiceId, _Record
@@ -103,7 +103,10 @@ def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetri
 
 
 def structural_coupling(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> float:
-    """Structural coupling of the ordered pair, ``1 - lwf / max node degree``, in ``[1 - 1 / max node degree, 1)``."""
+    """Structural coupling of the ordered pair, ``1 - lwf / max node degree``, in ``[1 - 1 / max node degree, 1)``.
+
+    Not exported and called by no program path: it stays because ``bench/spans.py`` counts its calls.
+    """
     return pair_metrics(graph, s1, s2).sc
 
 

@@ -36,9 +36,8 @@ class RenderOptions(_Record):
     """Tunable thresholds and formatting for reports and drawings."""
 
     def __init__(self, hub_fraction: float = 0.6, hub_min_degree: int = 3, decimal_places: int = 2):
-        fraction = hub_fraction
-        if not (isinstance(fraction, (int, float)) and not isinstance(fraction, bool) and 0 < fraction <= 1):
-            raise ValidationError(f"hub_fraction must be a number in (0, 1], got {_shown(fraction)}")
+        if isinstance(hub_fraction, bool) or not isinstance(hub_fraction, (int, float)) or not 0 < hub_fraction <= 1:
+            raise ValidationError(f"hub_fraction must be a number in (0, 1], got {_shown(hub_fraction)}")
         if not _is_int(hub_min_degree) or hub_min_degree < 0:
             raise ValidationError(f"hub_min_degree must be a non-negative integer, got {_shown(hub_min_degree)}")
         # a double carries at most 17 significant digits

@@ -457,7 +457,17 @@ class TestAnalyze:
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "absent.json")]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == f"error: no such file: {tmp_path / 'absent.json'}\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "render"])
+    @pytest.mark.parametrize("make", [os.mkdir, getattr(os, "mkfifo", None)], ids=["directory", "fifo"])
+    def test_input_that_is_not_a_file_exits_2(self, tmp_path, make, command, capsys):
+        if make is None:
+            pytest.skip("no FIFOs on this platform")
+        make(source := tmp_path / "d.json")
+        assert main([command, str(source), "--emit", "dot", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: not a file: {source}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -925,6 +935,18 @@ class TestArgumentHandling:
         completed = run_python("-c", code)
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout == b"[]\n"
+
+    def test_importing_cli_without_site_leaves_out_typing(self):
+        # Without `site` nothing but the package can bring `typing` in; its annotations never evaluate.
+        completed = run_python("-S", "-c", "import sys, mscoupling.cli; print('typing' in sys.modules)")
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == b"False\n"
+
+    def test_structural_coupling_is_not_exported(self):
+        import mscoupling
+
+        assert "structural_coupling" not in mscoupling.__all__
+        assert not hasattr(mscoupling, "structural_coupling")
 
     def test_deferred_imports_still_serve_their_inputs(self, tmp_path):
         descriptor = write_descriptor(tmp_path, {**SINGLE_EDGE_DESCRIPTOR, "flavor": 1})

@@ -428,6 +428,14 @@ class TestSvg:
     def test_deterministic(self, demo):
         assert emit_svg(analyze(demo)) == emit_svg(analyze(demo))
 
+    def test_self_pair_draws_no_arrow(self, single_edge):
+        analysis = analyze(single_edge)
+        (s1, _, pair), *_ = analysis.pairs
+        with_self = Analysis(analysis.graph, ((s1, s1, pair), *analysis.pairs), analysis.services)
+        text = emit_svg(with_self)
+        assert text == emit_svg(analysis)  # the zero-length arrow is skipped, not drawn nor divided by
+        assert minidom.parseString(text).getElementsByTagName("line").length == 1
+
     @given(service_graphs(min_nodes=1, max_nodes=6))
     def test_every_service_drawn(self, graph):
         text = emit_svg(analyze(graph))
