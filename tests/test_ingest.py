@@ -795,3 +795,82 @@ class TestBulkDescriptorPath:
     def test_records_built_alone_still_check_every_field(self, make):
         with pytest.raises(CouplingError):
             make()
+
+
+# -- the edge CSV rows ---------------------------------------------------------
+
+# Changes that each make one row fail in its own way: (cell index, new cell), a self-dependency, a dropped
+# cell, or a blank line before the row.  A cell past the header's width makes the column count wrong.
+_CSV_NEAR_MISSES = [
+    (0, "a\x7fb"), (1, "t\x7f"), (0, ""), (2, "0"), (2, str(2**53 + 1)), (2, str(2**53)), (2, "x"), (2, ""),
+    (3, "rpc"), (3, "CALL"), (3, "compose"), (4, "9"), "self", "drop", "blank",
+]
+
+
+def _csv_miss(row: list[str], miss) -> list[list[str]]:
+    """The lines that replace ``row`` once ``miss`` is applied to it."""
+    if miss == "blank":
+        return [[], row]
+    row = list(row)
+    if miss == "self":
+        row[1] = row[0]
+    elif miss == "drop":
+        row.pop()
+    else:
+        index, cell = miss
+        row += [""] * (index + 1 - len(row))
+        row[index] = cell
+    return [row]
+
+
+@st.composite
+def _near_miss_edge_csvs(draw) -> str:
+    """An edge CSV of plain ids, with a near miss at some random rows; no cell needs quoting."""
+    width = draw(st.integers(2, 4))
+    ids = draw(st.lists(st.text("ab-1", min_size=1, max_size=3), min_size=2, max_size=5, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        source, target = draw(st.permutations(ids))[:2]
+        cells = [source, target, str(draw(st.integers(1, 3))), draw(st.sampled_from(["call", "declared", ""]))]
+        rows.append([cells[:width]])
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at] = _csv_miss(rows[at][-1], draw(st.sampled_from(_CSV_NEAR_MISSES)))
+    lines = [["source", "target", "weight", "kind"][:width]] + [line for group in rows for line in group]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _oracle_edge_csv(text: str) -> ProjectDescriptor:
+    """Every row built through the public constructors, line by line, each error worded as the parser words it."""
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    edges = []
+    for number, line in enumerate(lines[1:], start=2):
+        cells = [cell.strip() for cell in line.split(",")]
+        if not any(cells):
+            continue
+        if len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} columns, got {len(cells)}", line=number)
+        source, target, weight, kind = cells + [""] * (4 - len(cells))
+        try:
+            weight = int(weight or 1)
+        except ValueError:
+            raise ParseError(f"weight {_shown(weight)} is not an integer", line=number) from None
+        try:
+            edges.append(DependencyEdge(source, target, weight, kind or "call"))
+        except CouplingError as exc:
+            raise ParseError(str(exc), line=number) from None
+    endpoints = sorted({end for edge in edges for end in (edge.source, edge.target)})
+    return ProjectDescriptor("edges", tuple(map(ServiceNode, endpoints)), tuple(edges))
+
+
+class TestEdgeCsvRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_near_miss_edge_csvs())
+    # A self-dependency at line 3 before a bad weight at line 4; a bad weight at line 2 before a self-dependency.
+    @example("source,target,weight\na,b,1\nb,b,1\na,c,x\n")
+    @example("source,target,weight\na,b,x\nb,b,1\n")
+    # A wrong column count at line 3 after a forbidden id at line 2.
+    @example("source,target\na\x7f,b\na,b,1\n")
+    def test_matches_row_by_row_constructors(self, text):
+        assert _outcome(parse_edge_csv, text) == _outcome(_oracle_edge_csv, text)
