@@ -1,9 +1,12 @@
 """Directed service dependency graph model.
 
 Nodes are services, edges are weighted structural dependencies between
-them.  Each record type checks its own fields on construction, so every
-parser and library caller gets the same rules.  A :class:`ServiceGraph`
-is an immutable value that can be shared freely between analysis tasks.
+them.  Each record rule is written once, in its record type's ``_rules``,
+as a test of whole field columns paired with a test of one record's values:
+records run the value tests on construction, and readers hand columns to
+``_records``, so every parser and library caller gets the same rules and
+messages.  A :class:`ServiceGraph` is an immutable value that can be shared
+freely between analysis tasks.
 The constructor builds, once, each service's neighbour maps (three calls
 from A to B weigh 3, not 1), sorted neighbours and ``(out, in)`` degree
 pair, and the largest degree; every method and metric reads these tables.
@@ -11,19 +14,14 @@ pair, and the largest degree; every method and metric reads these tables.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Mapping
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
 from types import MappingProxyType
 
-from .errors import (
-    DuplicateService,
-    EmptyGraph,
-    SelfDependency,
-    UnknownService,
-    ValidationError,
-    _shown,
-)
+from .errors import DuplicateService, EmptyGraph, SelfDependency, UnknownService, ValidationError, _shown
 
 ServiceId = str
 # Every integer up to 2**53 is exact as a double, and sums of such weights stay far below float overflow.
@@ -34,22 +32,83 @@ def _forbidden(text: str) -> bool:
     return "," in text or '"' in text or not text.isprintable()
 
 
-def _check_id(value: str, what: str = "service id") -> str:
+def _id_fault(value: object, what: str = "service id") -> ValidationError | None:
     """Ids and project names are printable text without ``,`` or ``"``: CSV, DOT and SVG carry them raw."""
     if not isinstance(value, str) or not value:
-        raise ValidationError(f"{what} must be a non-empty string, got {_shown(value)}")
+        return ValidationError(f"{what} must be a non-empty string, got {_shown(value)}")
     if _forbidden(value):
         ch = next(ch for ch in value if _forbidden(ch))
-        raise ValidationError(f"{what} {_shown(value)} contains forbidden character {_shown(ch)}")
-    return value
+        return ValidationError(f"{what} {_shown(value)} contains forbidden character {_shown(ch)}")
+
+
+def _ids_pass(ids: list) -> bool:
+    # Each distinct id is tested once: their join holds a forbidden character exactly when one of them does.
+    if not all(map(isinstance, ids, repeat(str))):
+        return False
+    return "" not in (names := set(ids)) and not _forbidden("".join(names))
 
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _counts_pass(counts: list, *_) -> bool:
+    return set(map(type, counts)) <= {int, type(None)} and min(set(counts) - {None}, default=0) >= 0
+
+
+def _count_fault(field: str, count: object, id: ServiceId) -> ValidationError | None:
+    if count is not None and (not _is_int(count) or count < 0):
+        return ValidationError(f"service {_shown(id)}: {field} must be a non-negative integer, got {_shown(count)}")
+
+
 def _endpoints(source: ServiceId, target: ServiceId) -> str:
     return f"{_shown(source)}->{_shown(target)}"
+
+
+def _weights_pass(weights: list, *_) -> bool:
+    return set(map(type, weights)) <= {int} and min(weights, default=1) >= 1 and max(weights, default=1) <= MAX_WEIGHT
+
+
+def _weight_fault(weight: object, source: ServiceId, target: ServiceId) -> ValidationError | None:
+    if not _is_int(weight) or weight < 1:
+        message = f"weight must be a positive integer, got {_shown(weight)}"
+        return ValidationError(f"edge {_endpoints(source, target)}: {message}")
+    if weight > MAX_WEIGHT:
+        return ValidationError(f"edge {_endpoints(source, target)}: weight must be at most 2**53")
+
+
+def _kinds_pass(kinds: list, *_) -> bool:
+    return all(map(isinstance, kinds, repeat(str))) and _KINDS.keys() >= set(kinds)
+
+
+def _kind_fault(kind: object, source: ServiceId, target: ServiceId) -> ValidationError | None:
+    if not _kinds_pass([kind]):
+        return ValidationError(f"edge {_endpoints(source, target)}: unknown kind {_shown(kind)}")
+
+
+def _check_values(rules: tuple, values: dict, row: int | None = None) -> None:
+    """Raise the error, noting its ``row``, of the first rule in field order that one record's ``values`` break."""
+    for fields, _, fault in rules:
+        if error := fault(*map(values.__getitem__, fields)):
+            error.row = row
+            raise error
+
+
+def _records(cls: type, columns: dict[str, list], rules: tuple = ()) -> tuple:
+    """The records of ``cls`` with field values ``columns``, checked by ``cls._rules`` and then ``rules``.
+
+    Only the rules whose column test fails are tested row by row; the first row that breaks one raises its
+    error.  The records are built without running ``__init__``.  ``rules`` may read more ``columns``.
+    """
+    failing = [rule for rule in cls._rules + rules if not rule[1](*[columns[name] for name in rule[0]])]
+    for row, values in enumerate(zip(*columns.values()) if failing else ()):
+        _check_values(failing, dict(zip(columns, values)), row)
+    records = tuple(map(object.__new__, repeat(cls, len(columns[cls._fields[0]]))))
+    fields = list(map(vars, records))
+    for name in cls._fields:  # one C-level pass per field, no Python call per record
+        values = columns[name] if name != "kind" else map(_KINDS.__getitem__, columns[name])  # stored as EdgeKind
+        list(map(operator.setitem, fields, repeat(name), values))
+    return records
 
 
 class _Record:
@@ -90,7 +149,7 @@ class EdgeKind(str, Enum):
     DECLARED = "declared"
 
 
-_KINDS = {kind.value: kind for kind in EdgeKind}  # both record paths: a dict lookup is far cheaper than EdgeKind(value)
+_KINDS = {kind.value: kind for kind in EdgeKind}  # a dict lookup is far cheaper than EdgeKind(value)
 
 
 class ServiceNode(_Record):
@@ -100,59 +159,33 @@ class ServiceNode(_Record):
     feeds the CBM metric; ``loc`` is informational only.
     """
 
+    # In field order: (fields read, test of their columns: True if every row passes, test of one row: its error or None)
+    _rules = (
+        (("id",), _ids_pass, _id_fault),
+        (("class_count", "id"), _counts_pass, partial(_count_fault, "class_count")),
+        (("loc", "id"), _counts_pass, partial(_count_fault, "loc")),
+    )
+
     def __init__(self, id: ServiceId, class_count: int | None = None, loc: int | None = None):
-        _check_id(id)
-        for field_name, value in (("class_count", class_count), ("loc", loc)):
-            if value is not None and (not _is_int(value) or value < 0):
-                raise ValidationError(
-                    f"service {_shown(id)}: {field_name} must be a non-negative integer, got {_shown(value)}"
-                )
-        vars(self).update(id=id, class_count=class_count, loc=loc)
+        _check_values(self._rules, fields := {"id": id, "class_count": class_count, "loc": loc})
+        vars(self).update(fields)
 
 
 class DependencyEdge(_Record):
     """A weighted directed dependency record between two services."""
 
+    _rules = (
+        (("source",), _ids_pass, _id_fault),
+        (("target",), _ids_pass, _id_fault),
+        (("source", "target"), lambda sources, targets: not any(map(operator.eq, sources, targets)),
+         lambda s, t: SelfDependency(f"service {_shown(s)} cannot depend on itself") if s == t else None),
+        (("weight", "source", "target"), _weights_pass, _weight_fault),
+        (("kind", "source", "target"), _kinds_pass, _kind_fault),
+    )
+
     def __init__(self, source: ServiceId, target: ServiceId, weight: int = 1, kind: EdgeKind = EdgeKind.CALL):
-        _check_id(source)
-        _check_id(target)
-        if source == target:
-            raise SelfDependency(f"service {_shown(source)} cannot depend on itself")
-        if not _is_int(weight) or weight < 1:
-            raise ValidationError(
-                f"edge {_endpoints(source, target)}: weight must be a positive integer, got {_shown(weight)}"
-            )
-        if weight > MAX_WEIGHT:
-            raise ValidationError(f"edge {_endpoints(source, target)}: weight must be at most 2**53")
-        if not isinstance(kind, EdgeKind):
-            try:
-                kind = _KINDS[kind]
-            except (KeyError, TypeError):  # TypeError: an unhashable kind
-                raise ValidationError(f"edge {_endpoints(source, target)}: unknown kind {_shown(kind)}") from None
-        vars(self).update(source=source, target=target, weight=weight, kind=kind)
-
-
-def _records_from_columns(ids, classes, locs, sources, targets, weights, kinds) -> tuple[tuple, tuple] | None:
-    """These field columns' records, built without their checks, if each column plainly passes it; else None."""
-    try:
-        kinds, names = list(map(_KINDS.get, kinds)), {*ids, *sources, *targets}
-    except TypeError:  # an unhashable id or kind
-        return None
-    if (
-        not set(map(type, names)) <= {str} or "" in names or _forbidden("".join(names)) or None in kinds
-        or any(map(str.__eq__, sources, targets))
-        or not set(map(type, classes + locs)) <= {int, type(None)} or min({*classes, *locs} - {None}, default=0) < 0
-        or not set(map(type, weights)) <= {int} or min(weights, default=1) < 1 or max(weights, default=1) > MAX_WEIGHT
-    ):
-        return None
-
-    def record(cls, **fields):
-        (made := object.__new__(cls)).__dict__.update(fields)
-        return made
-
-    nodes = tuple(record(ServiceNode, id=i, class_count=c, loc=n) for i, c, n in zip(ids, classes, locs))
-    edges = zip(sources, targets, weights, kinds)
-    return nodes, tuple(record(DependencyEdge, source=s, target=t, weight=w, kind=k) for s, t, w, k in edges)
+        _check_values(self._rules, fields := {"source": source, "target": target, "weight": weight, "kind": kind})
+        vars(self).update(fields, kind=_KINDS[kind])
 
 
 class ServiceGraph(_Record):
@@ -203,11 +236,7 @@ class ServiceGraph(_Record):
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        nodes: Iterable[ServiceNode],
-        edges: Iterable[DependencyEdge] = (),
-    ) -> "ServiceGraph":
+    def build(cls, nodes: Iterable[ServiceNode], edges: Iterable[DependencyEdge] = ()) -> ServiceGraph:
         return cls(tuple(nodes), tuple(edges))
 
     # -- lookup -----------------------------------------------------------

@@ -22,7 +22,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .errors import CouplingError, ParseError, ValidationError, _shown
-from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode, _check_id, _Record, _records_from_columns
+from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode, _id_fault, _Record, _records
 
 DESCRIPTOR_FILENAME = "project.json"
 SOURCE_SUFFIX = ".java"
@@ -50,13 +50,21 @@ class ProjectDescriptor(_Record):
         self, name: str, services: tuple[ServiceNode, ...] = (), edges: tuple[DependencyEdge, ...] = (),
         source_dirs: dict[str, str] | None = None,
     ):
-        _check_id(name, "project name")
+        if error := _id_fault(name, "project name"):
+            raise error
         source_dirs = {} if source_dirs is None else source_dirs
         vars(self).update(name=name, services=services, edges=edges, source_dirs=source_dirs)
 
 
-_SERVICE_FIELDS = frozenset({"id", "classes", "loc", "source_dir"})
-_EDGE_FIELDS = frozenset({"source", "target", "weight", "kind"})
+# The JSON key of each record field, in field order; a service's source_dir is the descriptor's own field.
+_SERVICE_KEYS = {"id": "id", "class_count": "classes", "loc": "loc", "source_dir": "source_dir"}
+_EDGE_KEYS = {"source": "source", "target": "target", "weight": "weight", "kind": "kind"}
+_DEFAULTS = {"weight": 1, "kind": "call"}
+_SOURCE_DIR_RULE = (
+    ("source_dir",),
+    lambda dirs: set(map(type, dirs)) <= {str, type(None)},
+    lambda path: None if path is None or isinstance(path, str) else ValidationError("source_dir must be a string"),
+)
 
 
 def _json_object(pairs: list[tuple[str, object]]) -> dict:
@@ -70,9 +78,11 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict:
 def parse_project_descriptor(text: str) -> ProjectDescriptor:
     """Parse the canonical JSON descriptor format into records.
 
-    Unknown fields are ignored with a warning; a malformed record raises
-    :class:`ValidationError` naming its position.  The graph rules
-    (unique ids, declared endpoints) are checked by :class:`ServiceGraph`.
+    Each array is checked as columns through the record rules; the first
+    record, services before edges, that breaks one or is not an object
+    raises :class:`ValidationError` naming its position (``service #i``).
+    Unknown fields are ignored with a warning, up to that record.  The graph
+    rules (unique ids, declared endpoints) are checked by :class:`ServiceGraph`.
     """
     try:
         document = json.loads(text, object_pairs_hook=_json_object)
@@ -86,65 +96,34 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
     unknown = sorted(set(document) - {"name", "services", "edges"})
     if unknown:
         _warn("descriptor: ignoring unknown fields %s", _shown(", ".join(unknown)))
-    if (plain := _plain_records(document)) is not None:
-        return ProjectDescriptor(document.get("name"), *plain)
-
-    def service(raw: dict) -> tuple[ServiceNode, str | None]:
-        node = ServiceNode(raw.get("id"), raw.get("classes"), raw.get("loc"))
-        source_dir = raw.get("source_dir")
-        if source_dir is not None and not isinstance(source_dir, str):
-            raise ValidationError("source_dir must be a string")
-        return node, source_dir
-
-    def edge(raw: dict) -> DependencyEdge:
-        return DependencyEdge(raw.get("source"), raw.get("target"), raw.get("weight", 1), raw.get("kind", "call"))
-
-    services = _descriptor_records(document, "services", "service", _SERVICE_FIELDS, service)
-    edges = _descriptor_records(document, "edges", "edge", _EDGE_FIELDS, edge)
-    source_dirs = {node.id: source_dir for node, source_dir in services if source_dir is not None}
-    return ProjectDescriptor(document.get("name"), tuple(node for node, _ in services), tuple(edges), source_dirs)
+    services, columns = _array_records(document, "services", "service", ServiceNode, _SERVICE_KEYS, (_SOURCE_DIR_RULE,))
+    edges, _ = _array_records(document, "edges", "edge", DependencyEdge, _EDGE_KEYS)
+    source_dirs = {service: path for service, path in zip(columns["id"], columns["source_dir"]) if path is not None}
+    return ProjectDescriptor(document.get("name"), services, edges, source_dirs)
 
 
-def _plain_records(document: dict) -> tuple[tuple, tuple, dict] | None:
-    """Services, edges and source_dirs if every record is plainly valid, checked by column; else None."""
-    def column(records: list[dict], key: str, default: object = None) -> list:
-        return list(map(dict.get, records, repeat(key), repeat(default)))
-
-    services, edges = document.get("services", []), document.get("edges", [])
-    if type(services) is not list or type(edges) is not list or not set(map(type, services + edges)) <= {dict}:
-        return None
-    if not all(map(_SERVICE_FIELDS.issuperset, services)) or not all(map(_EDGE_FIELDS.issuperset, edges)):
-        return None
-    ids, dirs = column(services, "id"), column(services, "source_dir")
-    if set(map(type, dirs)) <= {str, type(None)} and (records := _records_from_columns(
-        ids, column(services, "classes"), column(services, "loc"),
-        column(edges, "source"), column(edges, "target"), column(edges, "weight", 1), column(edges, "kind", "call"),
-    )):
-        return *records, {service: path for service, path in zip(ids, dirs) if path is not None}
-    return None
-
-
-def _descriptor_records(document: dict, key: str, label: str, fields: frozenset[str], make) -> list:
-    """``make(raw)`` for each object in the array ``document[key]``, in order.
-
-    Unknown fields are ignored with a warning, and an error names the
-    record's position (``label #i``).
-    """
-    raw_records = document.get(key, [])
-    if not isinstance(raw_records, list):
-        raise ValidationError(f"'{key}' must be an array")
-    records = []
-    for position, raw in enumerate(raw_records):
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{label} #{position} must be an object")
-        if not raw.keys() <= fields:
-            unknown = sorted(set(raw) - fields)
-            _warn("%s #%d: ignoring unknown fields %s", label, position, _shown(", ".join(unknown)))
-        try:
-            records.append(make(raw))
-        except CouplingError as exc:
-            raise ValidationError(f"{label} #{position}: {exc}") from None
-    return records
+def _array_records(document: dict, array: str, label: str, cls: type, keys: dict, rules: tuple = ()) -> tuple:
+    """The records of the array ``document[array]`` and their field columns; an error names ``label #i``."""
+    objects = raw = document.get(array, [])
+    if type(raw) is not list:
+        raise ValidationError(f"'{array}' must be an array")
+    if not set(map(type, raw)) <= {dict}:
+        objects = raw[: next(i for i, item in enumerate(raw) if type(item) is not dict)]
+    columns = {name: list(map(dict.get, objects, repeat(k), repeat(_DEFAULTS.get(name)))) for name, k in keys.items()}
+    failure = None
+    try:
+        records = _records(cls, columns, rules)
+    except CouplingError as exc:
+        failure, objects = exc, objects[: exc.row + 1]
+    if not all(map((known := set(keys.values())).issuperset, objects)):
+        for position, item in enumerate(objects):
+            if unknown := sorted(item.keys() - known):
+                _warn("%s #%d: ignoring unknown fields %s", label, position, _shown(", ".join(unknown)))
+    if failure is not None:
+        raise ValidationError(f"{label} #{failure.row}: {failure}") from None
+    if len(objects) < len(raw):
+        raise ValidationError(f"{label} #{len(objects)} must be an object")
+    return records, columns
 
 
 def parse_edge_csv(text: str, name: str = "edges") -> ProjectDescriptor:
@@ -152,56 +131,47 @@ def parse_edge_csv(text: str, name: str = "edges") -> ProjectDescriptor:
 
     The services are the endpoints, sorted, without class counts.
     Blank lines are skipped; absent or empty optional cells fall back
-    to the defaults (weight 1, kind call).
+    to the defaults (weight 1, kind call).  The rows are checked as
+    columns through the record rules; the first line that breaks a
+    rule or cannot be read raises :class:`ParseError` naming it.
     """
     import csv
     import io
 
     reader = csv.reader(io.StringIO(text))
-    header: list[str] | None = None
-    edges: list[DependencyEdge] = []
-    for row in _csv_records(reader):
-        cells = [cell.strip() for cell in row]
-        if not any(cells):
-            continue
-        if header is None:
-            header = [cell.lower() for cell in cells]
-            if len(header) < 2 or header != ["source", "target", "weight", "kind"][: len(header)]:
-                raise ParseError(
-                    f"header must be source,target[,weight[,kind]], got {_shown(','.join(cells))}",
-                    line=reader.line_num,
-                )
-            continue
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} columns, got {len(cells)}", line=reader.line_num
-            )
-        source, target, weight, kind = cells + [""] * (4 - len(cells))
-        try:
-            weight = int(weight) if weight else 1
-        except ValueError:
-            raise ParseError(f"weight {_shown(weight)} is not an integer", line=reader.line_num) from None
-        try:
-            edges.append(DependencyEdge(source, target, weight, kind or EdgeKind.CALL))
-        except CouplingError as exc:
-            raise ParseError(str(exc), line=reader.line_num) from None
-    if header is None:
-        raise ParseError("missing header row")
-    endpoints = sorted({end for edge in edges for end in (edge.source, edge.target)})
-    return ProjectDescriptor(name, tuple(map(ServiceNode, endpoints)), tuple(edges))
-
-
-def _csv_records(reader):
-    """The rows of ``reader``; a malformed record is a ParseError at the line it starts on."""
-    import csv
-
-    start = 1
+    header, rows, failure, start = None, [], None, 1
     try:
         for row in reader:
-            yield row
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV record: {exc}", line=start) from None
+            start, cells = reader.line_num + 1, [cell.strip() for cell in row]  # start: where the next record starts
+            if not any(cells):
+                continue
+            if header is None:
+                header = [cell.lower() for cell in cells]
+                if len(header) < 2 or header != ["source", "target", "weight", "kind"][: len(header)]:
+                    message = f"header must be source,target[,weight[,kind]], got {_shown(','.join(cells))}"
+                    raise ParseError(message, line=reader.line_num)
+                continue
+            if len(cells) != len(header):
+                raise ParseError(f"expected {len(header)} columns, got {len(cells)}", line=reader.line_num)
+            source, target, weight, kind = cells + [""] * (4 - len(cells))
+            try:
+                rows.append((source, target, int(weight) if weight else 1, kind or "call", reader.line_num))
+            except ValueError:
+                raise ParseError(f"weight {_shown(weight)} is not an integer", line=reader.line_num) from None
+    except csv.Error as exc:  # this error and the next are raised once the rows read before them pass
+        failure = ParseError(f"malformed CSV record: {exc}", line=start)
+    except ParseError as exc:
+        failure = exc
+    sources, targets, weights, kinds, lines = zip(*rows) if rows else [()] * 5
+    try:
+        edges = _records(DependencyEdge, {"source": sources, "target": targets, "weight": weights, "kind": kinds})
+    except CouplingError as exc:
+        raise ParseError(str(exc), line=lines[exc.row]) from None
+    if failure is not None:
+        raise failure from None
+    if header is None:
+        raise ParseError("missing header row")
+    return ProjectDescriptor(name, tuple(map(ServiceNode, sorted({*sources, *targets}))), edges)
 
 
 def _compose_entry(service: str, entry: object) -> str:
@@ -387,8 +357,9 @@ def load_project(path: Path, fmt: str = "auto") -> tuple[ServiceGraph, ProjectDe
 def load_corpus(root: Path) -> tuple[Path, ...]:
     """Sorted descriptor paths, one per immediate subdirectory holding one.
 
-    Subdirectories without a ``project.json`` are skipped with a
-    warning; an empty corpus is a valid result.
+    Any ``project.json`` entry counts, even one that is not a readable
+    file, so that its project fails instead of vanishing; subdirectories
+    without one are skipped with a warning.  An empty corpus is valid.
     """
     root = Path(root)
     if not root.is_dir():
@@ -397,8 +368,7 @@ def load_corpus(root: Path) -> tuple[Path, ...]:
     for entry in sorted(root.iterdir(), key=lambda p: p.name):
         if not entry.is_dir():
             continue
-        descriptor_path = entry / DESCRIPTOR_FILENAME
-        if descriptor_path.is_file():
+        if os.path.lexists(descriptor_path := entry / DESCRIPTOR_FILENAME):  # load_project names what is wrong with it
             projects.append(descriptor_path)
         else:
             _warn("corpus: skipping %s (no %s)", entry.name, DESCRIPTOR_FILENAME)

@@ -608,6 +608,27 @@ class TestCorpus:
         summary_lines = (out / "corpus_summary.csv").read_text().splitlines()
         assert len(summary_lines) == 2
 
+    @pytest.mark.parametrize(
+        ("make", "problem"),
+        [
+            (os.mkdir, "not a file"),
+            (getattr(os, "mkfifo", None), "not a file"),
+            (functools.partial(os.symlink, "gone"), "no such file"),
+        ],
+        ids=["directory", "fifo", "dangling-symlink"],
+    )
+    def test_project_json_that_is_not_a_file_fails_its_project(self, tmp_path, make, problem, capsys):
+        if make is None:
+            pytest.skip("no FIFOs on this platform")
+        root = tmp_path / "corpus"
+        write_corpus_project(root, "good", SINGLE_EDGE_DESCRIPTOR | {"name": "good"})
+        (root / "bad").mkdir()
+        make(descriptor := root / "bad" / "project.json")
+        out = tmp_path / "out"
+        assert main(["corpus", str(root), "--out", str(out)]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "1 project(s) analyzed, 1 failed"
+        assert (out / CORPUS_ERRORS).read_text() == f"bad: {problem}: {descriptor}\n"
+
     @pytest.mark.parametrize("reserved", CORPUS_FILES)
     def test_project_directory_named_like_a_summary_file_fails_alone(self, tmp_path, capsys, reserved):
         root = tmp_path / "corpus"

@@ -587,6 +587,12 @@ class TestLoadCorpus:
         assert [p.parent.name for p in projects] == ["good"]
         assert "junk" in caplog.text
 
+    def test_lists_a_project_json_that_is_not_a_file(self, tmp_path, caplog):
+        (tmp_path / "a" / "project.json").mkdir(parents=True)
+        with caplog.at_level(logging.WARNING, logger="mscoupling.ingest"):
+            assert load_corpus(tmp_path) == (tmp_path / "a" / "project.json",)
+        assert caplog.messages == []
+
     def test_ignores_plain_files_in_root(self, tmp_path):
         (tmp_path / "README.md").write_text("hello")
         assert load_corpus(tmp_path) == ()
@@ -695,6 +701,19 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
+@pytest.fixture
+def checked_inits(monkeypatch):
+    """Calls to each record type's checking constructor, which still run."""
+    calls = {ServiceNode: 0, DependencyEdge: 0}
+    for cls in calls:
+        def counted(self, *args, original=cls.__init__, cls=cls, **kwargs):
+            calls[cls] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
 class _Warnings(logging.Handler):
     def __init__(self):
         super().__init__(logging.WARNING)
@@ -732,18 +751,6 @@ class TestBulkDescriptorPath:
         text = json.dumps(document)
         assert _outcome(parse_project_descriptor, text) == _outcome(_oracle_descriptor, text)
 
-    @pytest.fixture
-    def checked_inits(self, monkeypatch):
-        """Calls to each record type's checking constructor, which still run."""
-        calls = {ServiceNode: 0, DependencyEdge: 0}
-        for cls in calls:
-            def counted(self, *args, original=cls.__init__, cls=cls, **kwargs):
-                calls[cls] += 1
-                original(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counted)
-        return calls
-
     def test_plain_descriptor_skips_record_checks(self, tmp_path, checked_inits):
         graph = make_hub(1, 80)
         (tmp_path / "src" / "svc00").mkdir(parents=True)
@@ -774,9 +781,13 @@ class TestBulkDescriptorPath:
         with pytest.raises(ValidationError):
             DependencyEdge(edge.source, edge.target, 0, edge.kind)
 
-    def test_doubtful_descriptor_takes_the_per_record_path(self, checked_inits):
-        parse_project_descriptor(MINIMAL_DESCRIPTOR.replace('"weight": 2', '"weight": 2, "note": "x"'))
-        assert checked_inits == {ServiceNode: 2, DependencyEdge: 1}
+    def test_doubtful_descriptor_warns_without_record_checks(self, checked_inits, caplog):
+        text = MINIMAL_DESCRIPTOR.replace('"weight": 2', '"weight": 2, "note": "x"')
+        with caplog.at_level(logging.WARNING, logger="mscoupling.ingest"):
+            descriptor = parse_project_descriptor(text)
+        assert caplog.messages == ["edge #0: ignoring unknown fields 'note'"]
+        assert checked_inits == {ServiceNode: 0, DependencyEdge: 0}
+        assert descriptor == parse_project_descriptor(MINIMAL_DESCRIPTOR)
 
     @pytest.mark.parametrize(
         "make",
@@ -874,3 +885,10 @@ class TestEdgeCsvRows:
     @example("source,target\na\x7f,b\na,b,1\n")
     def test_matches_row_by_row_constructors(self, text):
         assert _outcome(parse_edge_csv, text) == _outcome(_oracle_edge_csv, text)
+
+    def test_valid_csv_skips_record_checks(self, checked_inits):
+        rows = "".join(f"svc-{i % 7},svc-{i % 7 + 1},{i % 3 + 1},{('call', 'compose', '')[i % 3]}\n" for i in range(50))
+        descriptor = parse_edge_csv("source,target,weight,kind\n" + rows)
+        assert checked_inits == {ServiceNode: 8, DependencyEdge: 0}  # one per endpoint, none per row
+        assert descriptor == _oracle_edge_csv("source,target,weight,kind\n" + rows)
+        assert all(type(edge.kind) is EdgeKind for edge in descriptor.edges)
