@@ -21,7 +21,14 @@ from functools import cached_property, partial
 from itertools import repeat
 from types import MappingProxyType
 
-from .errors import DuplicateService, EmptyGraph, SelfDependency, UnknownService, ValidationError, _shown
+from .errors import (
+    DuplicateService,
+    EmptyGraph,
+    SelfDependency,
+    UnknownService,
+    ValidationError,
+    _shown,
+)
 
 ServiceId = str
 # Every integer up to 2**53 is exact as a double, and sums of such weights stay far below float overflow.
@@ -98,16 +105,19 @@ def _records(cls: type, columns: dict[str, list], rules: tuple = ()) -> tuple:
     """The records of ``cls`` with field values ``columns``, checked by ``cls._rules`` and then ``rules``.
 
     Only the rules whose column test fails are tested row by row; the first row that breaks one raises its
-    error.  The records are built without running ``__init__``.  ``rules`` may read more ``columns``.
+    error, with ``row`` set to that row's index.  The records are built without running ``__init__`` again.
     """
     failing = [rule for rule in cls._rules + rules if not rule[1](*[columns[name] for name in rule[0]])]
     for row, values in enumerate(zip(*columns.values()) if failing else ()):
         _check_values(failing, dict(zip(columns, values)), row)
-    records = tuple(map(object.__new__, repeat(cls, len(columns[cls._fields[0]]))))
-    fields = list(map(vars, records))
-    for name in cls._fields:  # one C-level pass per field, no Python call per record
+    # One C-level pass per field and no Python call per record.  Copies of a dict that already holds every
+    # field are as compact as the __dict__ that __init__ leaves; filling empty ones would make them larger.
+    dicts = list(map(dict.copy, repeat(dict.fromkeys(cls._fields), len(columns[cls._fields[0]]))))
+    for name in cls._fields:
         values = columns[name] if name != "kind" else map(_KINDS.__getitem__, columns[name])  # stored as EdgeKind
-        list(map(operator.setitem, fields, repeat(name), values))
+        list(map(operator.setitem, dicts, repeat(name), values))
+    records = tuple(map(object.__new__, repeat(cls, len(dicts))))
+    list(map(object.__setattr__, records, repeat("__dict__"), dicts))
     return records
 
 
@@ -236,7 +246,11 @@ class ServiceGraph(_Record):
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def build(cls, nodes: Iterable[ServiceNode], edges: Iterable[DependencyEdge] = ()) -> ServiceGraph:
+    def build(
+        cls,
+        nodes: Iterable[ServiceNode],
+        edges: Iterable[DependencyEdge] = (),
+    ) -> "ServiceGraph":
         return cls(tuple(nodes), tuple(edges))
 
     # -- lookup -----------------------------------------------------------

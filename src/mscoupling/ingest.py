@@ -139,10 +139,12 @@ def parse_edge_csv(text: str, name: str = "edges") -> ProjectDescriptor:
     import io
 
     reader = csv.reader(io.StringIO(text))
-    header, rows, failure, start = None, [], None, 1
+    header: list[str] | None = None
+    rows, failure, start = [], None, 1
     try:
         for row in reader:
-            start, cells = reader.line_num + 1, [cell.strip() for cell in row]  # start: where the next record starts
+            start = reader.line_num + 1  # where the next record starts, for a malformed one
+            cells = [cell.strip() for cell in row]
             if not any(cells):
                 continue
             if header is None:
