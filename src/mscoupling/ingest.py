@@ -115,7 +115,8 @@ def _array_records(document: dict, array: str, label: str, cls: type, keys: dict
         records = _records(cls, columns, rules)
     except CouplingError as exc:
         failure, objects = exc, objects[: exc.row + 1]
-    if not all(map((known := set(keys.values())).issuperset, objects)):
+    known = set(keys.values())
+    if not all(map(known.issuperset, objects)):
         for position, item in enumerate(objects):
             if unknown := sorted(item.keys() - known):
                 _warn("%s #%d: ignoring unknown fields %s", label, position, _shown(", ".join(unknown)))
@@ -370,7 +371,8 @@ def load_corpus(root: Path) -> tuple[Path, ...]:
     for entry in sorted(root.iterdir(), key=lambda p: p.name):
         if not entry.is_dir():
             continue
-        if os.path.lexists(descriptor_path := entry / DESCRIPTOR_FILENAME):  # load_project names what is wrong with it
+        descriptor_path = entry / DESCRIPTOR_FILENAME
+        if os.path.lexists(descriptor_path):  # even a dangling link: load_project names what is wrong with it
             projects.append(descriptor_path)
         else:
             _warn("corpus: skipping %s (no %s)", entry.name, DESCRIPTOR_FILENAME)
