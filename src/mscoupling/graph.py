@@ -95,8 +95,9 @@ def _kind_fault(kind: object, source: ServiceId, target: ServiceId) -> Validatio
 
 def _check_values(rules: tuple, values: dict, row: int | None = None) -> None:
     """Raise the error, noting its ``row``, of the first rule in field order that one record's ``values`` break."""
+    get = values.__getitem__
     for fields, _, fault in rules:
-        if error := fault(*map(values.__getitem__, fields)):
+        if error := fault(*map(get, fields)):
             error.row = row
             raise error
 
