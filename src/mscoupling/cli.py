@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import os
 import sys
 from pathlib import Path
@@ -234,6 +235,22 @@ def cmd_corpus(args: argparse.Namespace, emit: tuple[str, ...], options: RenderO
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the exit code is returned, and the cyclic garbage collector is paused meanwhile.
+
+    Past argparse's parser, a successful run makes no reference cycles: reference counting frees what it
+    allocates, and the collector's passes over the growing heap would only cost time.  The caller's setting
+    is restored on every exit, and the workers of ``corpus --jobs N`` are forked paused.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_command(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run_command(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

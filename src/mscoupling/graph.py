@@ -199,6 +199,13 @@ class DependencyEdge(_Record):
         vars(self).update(fields, kind=_KINDS[kind])
 
 
+def _summed(edge: DependencyEdge, weight: int) -> DependencyEdge:
+    """``edge`` with ``weight``, built without running ``__init__``: the other fields come checked with it."""
+    record = object.__new__(DependencyEdge)
+    object.__setattr__(record, "__dict__", {**vars(edge), "weight": weight})
+    return record
+
+
 class ServiceGraph(_Record):
     """Immutable directed multigraph of services.
 
@@ -234,7 +241,7 @@ class ServiceGraph(_Record):
         # EdgeKind is a str enum, so the keys sort by (source, target, kind value).
         # Each key keeps its first checked record; only a repeated key builds a summed one.
         edges = (merged[key] for key in sorted(merged))
-        edges = tuple(e if e.weight == w else DependencyEdge(e.source, e.target, w, e.kind) for e, w in edges)
+        edges = tuple(e if e.weight == w else _summed(e, w) for e, w in edges)
         # Per service, kinds merged: weight to each provider (_out) and from each client (_in), neighbours, degrees.
         neighbours = {s: tuple(sorted(out[s].keys() | in_[s].keys())) for s in ids}
         degrees = {s: (sum(out[s].values()), sum(in_[s].values())) for s in ids}

@@ -75,6 +75,34 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict:
     return document
 
 
+def _key_count(document: dict) -> int:
+    """The keys of ``document`` and of the objects in its ``services`` and ``edges`` lists; -1 if either is not one."""
+    count = len(document)
+    for array in ("services", "edges"):
+        items = document.get(array, [])
+        if type(items) is not list or not set(map(type, items)) <= {dict}:
+            return -1
+        count += sum(map(len, items))
+    return count
+
+
+def _decode_json(text: str) -> object:
+    """The JSON value of ``text``; a key given twice in any object raises what ``_json_object`` raises.
+
+    Every object member has exactly one structural ``:``.  So when the text holds as many colons as the
+    plain decode has keys in the top-level object and its records, no key repeats anywhere, no colon
+    sits inside a string and no nested object has members; that decode stands.  Otherwise, or when the
+    plain decode raises, the text is decoded again with the hook, which raises the first error in order.
+    """
+    try:
+        document = json.loads(text)
+        if type(document) is dict and _key_count(document) == text.count(":"):
+            return document
+    except (ValueError, RecursionError):  # the hooked decode may meet a repeated key before the failure
+        pass
+    return json.loads(text, object_pairs_hook=_json_object)
+
+
 def parse_project_descriptor(text: str) -> ProjectDescriptor:
     """Parse the canonical JSON descriptor format into records.
 
@@ -85,7 +113,7 @@ def parse_project_descriptor(text: str) -> ProjectDescriptor:
     rules (unique ids, declared endpoints) are checked by :class:`ServiceGraph`.
     """
     try:
-        document = json.loads(text, object_pairs_hook=_json_object)
+        document = _decode_json(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
     except ValueError as exc:  # e.g. an integer longer than the int-to-str digit limit
@@ -311,6 +339,7 @@ def build_graph(descriptor: ProjectDescriptor, base_dir: Path | None = None) -> 
     """
     nodes = list(descriptor.services)
     if base_dir is not None and descriptor.source_dirs:
+        counts: dict[int, int] = {}  # position of each counted service -> its class count
         for i, node in enumerate(nodes):
             source_dir = descriptor.source_dirs.get(node.id)
             if node.class_count is None and source_dir is not None:
@@ -319,7 +348,11 @@ def build_graph(descriptor: ProjectDescriptor, base_dir: Path | None = None) -> 
                     raise FileNotFoundError(
                         f"service {_shown(node.id)}: source_dir {_shown(source_dir)} is not a directory"
                     )
-                nodes[i] = ServiceNode(node.id, _count_units(directory), node.loc)
+                counts[i] = _count_units(directory)
+        counted = [nodes[i] for i in counts]
+        columns = {"id": [n.id for n in counted], "class_count": list(counts.values()), "loc": [n.loc for n in counted]}
+        for i, node in zip(counts, _records(ServiceNode, columns)):
+            nodes[i] = node
     return ServiceGraph.build(nodes, descriptor.edges)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import functools
+import gc
 import json
 import multiprocessing
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from mscoupling import cli, metrics
-from mscoupling.cli import CORPUS_ERRORS, CORPUS_FILES, CORPUS_SUMMARY, OUTPUT_NAMES, main, run
+from mscoupling.cli import CORPUS_ERRORS, CORPUS_FILES, CORPUS_SUMMARY, OUTPUT_NAMES, build_parser, main, run
 from mscoupling.graph import ServiceGraph
 from mscoupling.report import RenderOptions
 
@@ -1000,6 +1001,67 @@ class TestArgumentHandling:
         completed = run_module("example", "--out", str(out))
         assert completed.returncode == 0, completed.stderr
         assert (out / "graph.dot").is_file()
+
+
+class TestGarbageCollectorPause:
+    @pytest.fixture
+    def runs(self, tmp_path, capsys):
+        """Each command line, by name, and the exit code it must give."""
+        root = tmp_path / "root"
+        write_corpus_project(root, "hub", HUB_DESCRIPTOR)
+        (root / "hub" / "api-src").mkdir()
+        (root / "hub" / "api-src" / "Api.java").write_text("class Api {}\n")
+        services = [{"id": "api", "source_dir": "api-src"}] + HUB_DESCRIPTOR["services"][1:]
+        edges = HUB_DESCRIPTOR["edges"] + [{"source": "web", "target": "api"}]  # a repeated key, summed
+        write_descriptor(root / "hub", {**HUB_DESCRIPTOR, "services": services, "edges": edges})
+        bad = tmp_path / "bad.json"
+        bad.write_text("{", encoding="utf-8")
+        out = str(tmp_path / "out")
+        yield {
+            "analyze": (["analyze", str(root / "hub" / "project.json"), "--emit", "csv,dot,svg", "--out", out], 0),
+            "corpus": (["corpus", str(root), "--jobs", "1", "--out", out], 0),
+            "help": (["--help"], 0),
+            "bad-input": (["analyze", str(bad), "--out", out], 1),
+            "bad-option": (["analyze", str(bad), "--bogus"], 1),
+            "missing-file": (["analyze", str(tmp_path / "absent.json"), "--out", out], 2),
+        }
+        capsys.readouterr()
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_setting(self, request):
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        gc.enable()
+
+    @pytest.mark.parametrize("name", ["analyze", "corpus", "help", "bad-input", "bad-option", "missing-file"])
+    def test_restores_the_callers_setting(self, runs, gc_setting, name, monkeypatch):
+        argv, code = runs[name]
+        seen, analyze = [], cli._analyze_graph
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return analyze(*args)
+
+        monkeypatch.setattr(cli, "_analyze_graph", spy)
+        assert main(argv) == code
+        assert gc.isenabled() is gc_setting
+        assert seen == ([False] if name in ("analyze", "corpus") else [])  # paused while the project ran
+
+    def test_restores_it_when_an_unexpected_error_escapes(self, runs, gc_setting, monkeypatch):
+        monkeypatch.setattr(cli, "load_project", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            main(runs["analyze"][0])
+        assert gc.isenabled() is gc_setting
+
+    @pytest.mark.parametrize("name", ["analyze", "corpus"])
+    def test_a_successful_run_leaves_no_cycles_but_the_parsers(self, runs, name):
+        # argparse's parser holds reference cycles, a fixed count per run; the run's own data holds none.
+        gc.collect()
+        build_parser()
+        parser_cycles = gc.collect()
+        assert parser_cycles > 0
+        assert main(runs[name][0]) == 0
+        assert gc.collect() == parser_cycles
 
 
 class TestReadme:

@@ -14,11 +14,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mscoupling import ingest
 from mscoupling.errors import CouplingError, DuplicateService, ParseError, UnknownService, ValidationError, _shown
 from mscoupling.graph import DependencyEdge, EdgeKind, ServiceNode
 from mscoupling.ingest import (
     ProjectDescriptor,
     _count_units,
+    _json_object,
     build_graph,
     load_corpus,
     load_project,
@@ -766,7 +768,7 @@ class TestBulkDescriptorPath:
         assert checked_inits == {ServiceNode: 0, DependencyEdge: 0}
         assert descriptor == checked
         loaded, _ = load_project(tmp_path / "project.json")
-        assert checked_inits == {ServiceNode: 1, DependencyEdge: 0}  # svc00's class count, from its source tree
+        assert checked_inits == {ServiceNode: 0, DependencyEdge: 0}  # svc00's class count, from its source tree
         assert loaded.edges == graph.edges
         assert loaded.nodes[0] == ServiceNode("svc00", class_count=1)
 
@@ -806,6 +808,77 @@ class TestBulkDescriptorPath:
     def test_records_built_alone_still_check_every_field(self, make):
         with pytest.raises(CouplingError):
             make()
+
+
+def _either(parse, text):
+    """What ``parse(text)`` returns, or the class and text of any exception it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _hooked_parse(text: str) -> ProjectDescriptor:
+    """The descriptor parse with every object checked by the duplicate-key hook, as the one decode."""
+    decode = ingest._decode_json
+    ingest._decode_json = lambda text: json.loads(text, object_pairs_hook=_json_object)
+    try:
+        return parse_project_descriptor(text)
+    finally:
+        ingest._decode_json = decode
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # deeper than any recursion limit of the JSON decoder
+
+
+class TestJsonFastPath:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"name": "x", "services": [], "name": "y"}',
+            '{"name": "x", "services": [{"id": "a", "classes": 1, "id": "b"}]}',
+            '{"name": "x", "services": [{"id": "a"}, {"id": "b"}], "edges": [{"source": "a", "target": "b",'
+            ' "weight": 2, "weight": 7}]}',
+            '{"name": "x", "services": [{"id": "a", "meta": {"owner": "p", "owner": "q"}}]}',
+            '{"name": "x", "services": [{"id": "a:1"}, {"id": "b"}], "edges": [{"source": "a:1", "target": "b"}]}',
+            '{"name": "x", "services": [{"id": "a", "source_dir": "c:/src/a"}]}',
+            '{"name": "x", "services": [{"id": "a", "id": "b"}], "edges": [}',
+            '{"name": "x", "services": [{"id": "a", "id": "b"}], "deep": ' + _DEEP + "}",
+            '{"name": "x", "services": [{"id": "a", "meta": {}}], "edges": [], "extra": [{}]}',
+            '{"name": "x", "services": [{"id": "a"}], "deep": ' + _DEEP + "}",
+            "null",
+            "[]",
+            '[{"name": "x", "name": "y"}]',
+            "5",
+        ],
+        ids=[
+            "repeat-top-level", "repeat-in-service", "repeat-in-edge", "repeat-in-nested-object", "colon-in-id",
+            "colon-in-source-dir", "repeat-then-syntax-error", "repeat-then-too-deep", "empty-nested-objects",
+            "too-deep", "top-level-null", "top-level-array", "top-level-array-with-repeat", "top-level-number",
+        ],
+    )
+    def test_matches_the_hooked_decode(self, text):
+        expected = _either(_hooked_parse, text)
+        assert _either(parse_project_descriptor, text) == expected
+        if "deep" in text:  # the plain decode fails here, and the hooked one may meet a repeat first
+            assert _either(json.loads, text)[0] is RecursionError
+
+    def test_plain_descriptor_decodes_once_without_the_hook(self, monkeypatch):
+        hooked = []
+        monkeypatch.setattr(ingest, "_json_object", lambda pairs: hooked.append(pairs) or dict(pairs))
+        text = json.dumps(json.loads(MINIMAL_DESCRIPTOR) | {"version": 2})
+        assert parse_project_descriptor(text) == _hooked_parse(text)
+        assert hooked == []
+        parse_project_descriptor(text.replace('"web"', '"web:1"'))  # a colon in a string pays the hooked decode too
+        assert len(hooked) == 4
+
+    def test_a_repeated_edge_key_sums_without_record_checks(self, checked_inits):
+        document = json.loads(MINIMAL_DESCRIPTOR)
+        document["edges"] *= 2
+        graph = build_graph(parse_project_descriptor(json.dumps(document)))
+        assert checked_inits == {ServiceNode: 0, DependencyEdge: 0}
+        assert graph.edges == (DependencyEdge("web", "db", 4),)
+        assert type(graph.edges[0].kind) is EdgeKind
 
 
 # -- the edge CSV rows ---------------------------------------------------------
