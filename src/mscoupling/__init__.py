@@ -10,14 +10,13 @@ from .errors import (
     UnknownService,
     ValidationError,
 )
-from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceId, ServiceNode
+from .graph import DependencyEdge, EdgeKind, ServiceGraph, ServiceNode
 from .metrics import (
     PairMetrics,
     ProjectSummary,
     ServiceMetrics,
     StatSummary,
     analyze,
-    pair_matrix,
     project_summary,
 )
 from .report import ColorClass, RenderOptions
@@ -35,7 +34,6 @@ __all__ = [
     "RenderOptions",
     "SelfDependency",
     "ServiceGraph",
-    "ServiceId",
     "ServiceMetrics",
     "ServiceNode",
     "StatSummary",
@@ -43,7 +41,6 @@ __all__ = [
     "UnknownService",
     "ValidationError",
     "analyze",
-    "pair_matrix",
     "project_summary",
 ]
 

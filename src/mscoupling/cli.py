@@ -58,6 +58,7 @@ def _parse_emit(text: str) -> tuple[str, ...]:
     return tuple(sorted(set(parts), key=EMIT_CHOICES.index))
 
 
+@functools.cache  # built once per process: a parser holds reference cycles, and parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mscoupling",
@@ -237,34 +238,25 @@ def cmd_corpus(args: argparse.Namespace, emit: tuple[str, ...], options: RenderO
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the exit code is returned, and the cyclic garbage collector is paused meanwhile.
 
-    Past argparse's parser, a successful run makes no reference cycles: reference counting frees what it
-    allocates, and the collector's passes over the growing heap would only cost time.  The caller's setting
-    is restored on every exit, and the workers of ``corpus --jobs N`` are forked paused.
+    A successful run makes no reference cycles: reference counting frees what it allocates, and the
+    collector's passes over the growing heap would only cost time.  The caller's setting is restored on
+    every exit, and the workers of ``corpus --jobs N`` are forked paused.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run_command(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
+        options = RenderOptions(args.hub_fraction, args.hub_min_degree, args.decimal_places)
+        return args.run(args, _parse_emit(args.emit), options)
+    except (CouplingError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT if isinstance(exc, CouplingError) else EXIT_IO
     finally:
         if enabled:
             gc.enable()
-
-
-def _run_command(argv: list[str] | None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
-    try:
-        options = RenderOptions(args.hub_fraction, args.hub_min_degree, args.decimal_places)
-        return args.run(args, _parse_emit(args.emit), options)
-    except CouplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 def run() -> None:

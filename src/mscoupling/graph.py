@@ -7,6 +7,8 @@ records run the value tests on construction, and readers hand columns to
 ``_records``, so every parser and library caller gets the same rules and
 messages.  A :class:`ServiceGraph` is an immutable value that can be shared
 freely between analysis tasks.
+A summed edge or a counted service is a copy through ``_Record._replace``,
+which checks nothing: the values it is given must be checked already.
 The constructor builds, once, each service's neighbour maps (three calls
 from A to B weigh 3, not 1), sorted neighbours and ``(out, in)`` degree
 pair, and the largest degree; every method and metric reads these tables.
@@ -126,11 +128,18 @@ class _Record:
     """A frozen dataclass's value semantics for a record whose ``__init__`` stores its parameters as its fields.
 
     Equality and hash by class and field values, the same repr, AttributeError on assignment or deletion.
+    ``_replace`` copies without checks: use it only for values derived from records that were already checked.
     """
 
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _replace(self, **changes):
+        """This record with ``changes``, built without running ``__init__``: their values must be checked already."""
+        record = object.__new__(self.__class__)
+        object.__setattr__(record, "__dict__", {**vars(self), **changes})
+        return record
 
     def _values(self) -> tuple:
         return tuple(map(vars(self).__getitem__, self._fields))
@@ -199,13 +208,6 @@ class DependencyEdge(_Record):
         vars(self).update(fields, kind=_KINDS[kind])
 
 
-def _summed(edge: DependencyEdge, weight: int) -> DependencyEdge:
-    """``edge`` with ``weight``, built without running ``__init__``: the other fields come checked with it."""
-    record = object.__new__(DependencyEdge)
-    object.__setattr__(record, "__dict__", {**vars(edge), "weight": weight})
-    return record
-
-
 class ServiceGraph(_Record):
     """Immutable directed multigraph of services.
 
@@ -241,7 +243,7 @@ class ServiceGraph(_Record):
         # EdgeKind is a str enum, so the keys sort by (source, target, kind value).
         # Each key keeps its first checked record; only a repeated key builds a summed one.
         edges = (merged[key] for key in sorted(merged))
-        edges = tuple(e if e.weight == w else _summed(e, w) for e, w in edges)
+        edges = tuple(e if e.weight == w else e._replace(weight=w) for e, w in edges)
         # Per service, kinds merged: weight to each provider (_out) and from each client (_in), neighbours, degrees.
         neighbours = {s: tuple(sorted(out[s].keys() | in_[s].keys())) for s in ids}
         degrees = {s: (sum(out[s].values()), sum(in_[s].values())) for s in ids}

@@ -339,7 +339,6 @@ def build_graph(descriptor: ProjectDescriptor, base_dir: Path | None = None) -> 
     """
     nodes = list(descriptor.services)
     if base_dir is not None and descriptor.source_dirs:
-        counts: dict[int, int] = {}  # position of each counted service -> its class count
         for i, node in enumerate(nodes):
             source_dir = descriptor.source_dirs.get(node.id)
             if node.class_count is None and source_dir is not None:
@@ -348,11 +347,7 @@ def build_graph(descriptor: ProjectDescriptor, base_dir: Path | None = None) -> 
                     raise FileNotFoundError(
                         f"service {_shown(node.id)}: source_dir {_shown(source_dir)} is not a directory"
                     )
-                counts[i] = _count_units(directory)
-        counted = [nodes[i] for i in counts]
-        columns = {"id": [n.id for n in counted], "class_count": list(counts.values()), "loc": [n.loc for n in counted]}
-        for i, node in zip(counts, _records(ServiceNode, columns)):
-            nodes[i] = node
+                nodes[i] = node._replace(class_count=_count_units(directory))  # a count is a non-negative int
     return ServiceGraph.build(nodes, descriptor.edges)
 
 

@@ -964,11 +964,12 @@ class TestArgumentHandling:
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout == b"False\n"
 
-    def test_structural_coupling_is_not_exported(self):
+    @pytest.mark.parametrize("name", ["structural_coupling", "pair_matrix", "ServiceId"])
+    def test_structural_coupling_is_not_exported(self, name):
         import mscoupling
 
-        assert "structural_coupling" not in mscoupling.__all__
-        assert not hasattr(mscoupling, "structural_coupling")
+        assert name not in mscoupling.__all__
+        assert not hasattr(mscoupling, name)
 
     def test_deferred_imports_still_serve_their_inputs(self, tmp_path):
         descriptor = write_descriptor(tmp_path, {**SINGLE_EDGE_DESCRIPTOR, "flavor": 1})
@@ -1054,14 +1055,14 @@ class TestGarbageCollectorPause:
         assert gc.isenabled() is gc_setting
 
     @pytest.mark.parametrize("name", ["analyze", "corpus"])
-    def test_a_successful_run_leaves_no_cycles_but_the_parsers(self, runs, name):
-        # argparse's parser holds reference cycles, a fixed count per run; the run's own data holds none.
+    def test_a_successful_run_leaves_no_cycles(self, runs, name):
+        assert main(runs[name][0]) == 0  # a warm-up: the first call builds the parser and fills import-time caches
         gc.collect()
-        build_parser()
-        parser_cycles = gc.collect()
-        assert parser_cycles > 0
         assert main(runs[name][0]) == 0
-        assert gc.collect() == parser_cycles
+        assert gc.collect() == 0
+        assert build_parser() is build_parser()
+        # The one parser keeps no state between calls: help, a bad option, then a good run.
+        assert [main(runs[other][0]) for other in ("help", "bad-option", name)] == [0, 1, 0]
 
 
 class TestReadme:

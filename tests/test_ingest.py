@@ -8,6 +8,7 @@ import logging
 import os
 import pathlib
 import pickle
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -782,6 +783,20 @@ class TestBulkDescriptorPath:
         assert DependencyEdge(edge.source, edge.target, 5, edge.kind) == DependencyEdge("web", "db", 5)
         with pytest.raises(ValidationError):
             DependencyEdge(edge.source, edge.target, 0, edge.kind)
+        # A copy with a field replaced, as the graph sums an edge and build_graph counts a service's classes.
+        for original, change, checked in [
+            (edge, {"weight": 5}, DependencyEdge("web", "db", 5)),
+            (descriptor.services[1], {"class_count": 4}, ServiceNode("db", class_count=4)),
+        ]:
+            before = repr(original)
+            copy = original._replace(**change)
+            assert copy == checked and hash(copy) == hash(checked) and repr(copy) == repr(checked)
+            assert copy is not original and repr(original) == before and original != checked
+            with pytest.raises(AttributeError):
+                copy.source = "x"
+            assert pickle.loads(pickle.dumps(copy)) == checked
+            if sys.version_info[:2] == (3, 11):
+                assert sys.getsizeof(vars(copy)) == sys.getsizeof(vars(checked))
 
     def test_doubtful_descriptor_warns_without_record_checks(self, checked_inits, caplog):
         text = MINIMAL_DESCRIPTOR.replace('"weight": 2', '"weight": 2, "note": "x"')
