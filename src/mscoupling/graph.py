@@ -188,7 +188,7 @@ class ServiceNode(_Record):
 
     def __init__(self, id: ServiceId, class_count: int | None = None, loc: int | None = None):
         _check_values(self._rules, fields := {"id": id, "class_count": class_count, "loc": loc})
-        vars(self).update(fields)
+        object.__setattr__(self, "__dict__", fields)
 
 
 class DependencyEdge(_Record):
@@ -205,7 +205,7 @@ class DependencyEdge(_Record):
 
     def __init__(self, source: ServiceId, target: ServiceId, weight: int = 1, kind: EdgeKind = EdgeKind.CALL):
         _check_values(self._rules, fields := {"source": source, "target": target, "weight": weight, "kind": kind})
-        vars(self).update(fields, kind=_KINDS[kind])
+        object.__setattr__(self, "__dict__", {**fields, "kind": _KINDS[kind]})
 
 
 class ServiceGraph(_Record):
@@ -279,11 +279,6 @@ class ServiceGraph(_Record):
         """Read-only map from each service ``service`` depends on to the total weight."""
         self._require(service)
         return MappingProxyType(self._out[service])
-
-    def clients(self, service: ServiceId) -> Mapping[ServiceId, int]:
-        """Read-only map from each service depending on ``service`` to the total weight."""
-        self._require(service)
-        return MappingProxyType(self._in[service])
 
     def node_degree(self, service: ServiceId) -> int:
         """Total dependency weight incident to the service, both directions."""

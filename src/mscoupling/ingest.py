@@ -6,8 +6,8 @@ Three input formats are supported:
   class counts plus an explicit edge list),
 * a bare edge CSV (``source,target[,weight[,kind]]``) whose services
   are auto-declared from the endpoints,
-* a docker-compose document, where every ``depends_on`` / ``links``
-  entry becomes a weight-1 dependency record.
+* a docker-compose document, read with PyYAML (the optional ``compose``
+  extra), where each ``depends_on`` / ``links`` entry is a weight-1 record.
 
 ``load_corpus`` discovers one descriptor per immediate subdirectory of
 a corpus root so whole project collections can be analyzed in a batch.
@@ -244,7 +244,7 @@ def _text_loader() -> type:
 
 
 def parse_compose(text: str, name: str = "compose") -> ProjectDescriptor:
-    """Extract a service topology from a docker-compose document.
+    """Extract a service topology from a docker-compose document; needs PyYAML (the ``compose`` extra).
 
     Every ``depends_on`` (list or mapping form) and ``links`` entry
     becomes one weight-1 dependency record of kind ``compose``; service
