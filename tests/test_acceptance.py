@@ -6,6 +6,7 @@ hook in conftest so the gate's verdict is readable from the terminal.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -35,7 +36,7 @@ from mscoupling.report import (
     emit_svg,
 )
 from mscoupling.sample import SAMPLE_PROJECT_NAME, sample_graph
-from sample_systems import make_chain3, make_single_edge, make_star4
+from sample_systems import make_chain3, make_hub, make_single_edge, make_star4
 from strategies import random_graph
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -262,3 +263,29 @@ def test_drawings_match_golden_files():
     assert ColorClass.BRIDGE.value == "yellow"
     assert classify(star, star_rows["leaf1"]) is ColorClass.HIGH_OUT
     assert ColorClass.HIGH_OUT.value == "blue"
+
+
+# The sha256 of each file that `analyze --emit csv,dot,svg` writes for the 600-service hub below.
+HUB600_DIGESTS = {
+    "graph.dot": "41a10cf68664dfc77ab2b6a4eb282078a29d2da374775b53d22b73327c89788d",
+    "graph.svg": "1ff7578075db6e337e9e102a711aa2f7274a40d43c44ab966ec1aab76c39e5b2",
+    "pair_degree.csv": "176b86a7c451f658387a52befb073e826ce4d2f6f4fb9f6d7f2f8af9d8da4368",
+    "pair_gwf.csv": "fb258139987e11030e9a96068c52cee9a7236da192a476db7015594ccc8eac35",
+    "pair_lwf.csv": "826e517c016e7b8b26edafd137dec30ebaa98b00c53588f761a2a0c0b194420b",
+    "pair_sc.csv": "11d2f18c392085b2eac76923f8c6e5b4b84289829c6fec7e926dc67bfb4c732b",
+    "service_metrics.csv": "efb811c736f19304f834838a7c8522e03de161041375948a5eff4446d9a48eeb",
+    "summary.csv": "f0cc8760b13bcd8f38375917cd3c114410ff9b58724c9436c31a21d5f4a4ccdc",
+}
+
+
+def test_large_hub_outputs_match_pinned_digests(tmp_path, capsys):
+    graph = make_hub(600, services=600)
+    services = [{"id": node.id} | ({"classes": i % 7} if i % 3 else {}) for i, node in enumerate(graph.nodes)]
+    edges = [{"source": e.source, "target": e.target, "weight": e.weight, "kind": e.kind.value} for e in graph.edges]
+    path = tmp_path / "hub600.json"
+    path.write_text(json.dumps({"name": "hub600", "services": services, "edges": edges}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--emit", "csv,dot,svg", "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in read_tree(out).items()}
+    assert digests == HUB600_DIGESTS
