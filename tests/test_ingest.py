@@ -15,13 +15,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mscoupling import ingest
 from mscoupling.errors import CouplingError, DuplicateService, ParseError, UnknownService, ValidationError, _shown
 from mscoupling.graph import DependencyEdge, EdgeKind, ServiceNode
 from mscoupling.ingest import (
     ProjectDescriptor,
     _count_units,
-    _json_object,
     build_graph,
     load_corpus,
     load_project,
@@ -832,38 +830,48 @@ def _either(parse, text):
         return type(exc), str(exc)
 
 
-def _hooked_parse(text: str) -> ProjectDescriptor:
-    """The descriptor parse with every object checked by the duplicate-key hook, as the one decode."""
-    decode = ingest._decode_json
-    ingest._decode_json = lambda text: json.loads(text, object_pairs_hook=_json_object)
-    try:
-        return parse_project_descriptor(text)
-    finally:
-        ingest._decode_json = decode
-
-
 _DEEP = "[" * 100_000 + "]" * 100_000  # deeper than any recursion limit of the JSON decoder
+_ONE_SERVICE = ProjectDescriptor("x", (ServiceNode("a"),))
 
 
-class TestJsonFastPath:
+class TestJsonDecode:
+    # Each result as the descriptor parse gave it while a colon-counted plain decode ran before the hooked one.
     @pytest.mark.parametrize(
-        "text",
+        "text, expected",
         [
-            '{"name": "x", "services": [], "name": "y"}',
-            '{"name": "x", "services": [{"id": "a", "classes": 1, "id": "b"}]}',
-            '{"name": "x", "services": [{"id": "a"}, {"id": "b"}], "edges": [{"source": "a", "target": "b",'
-            ' "weight": 2, "weight": 7}]}',
-            '{"name": "x", "services": [{"id": "a", "meta": {"owner": "p", "owner": "q"}}]}',
-            '{"name": "x", "services": [{"id": "a:1"}, {"id": "b"}], "edges": [{"source": "a:1", "target": "b"}]}',
-            '{"name": "x", "services": [{"id": "a", "source_dir": "c:/src/a"}]}',
-            '{"name": "x", "services": [{"id": "a", "id": "b"}], "edges": [}',
-            '{"name": "x", "services": [{"id": "a", "id": "b"}], "deep": ' + _DEEP + "}",
-            '{"name": "x", "services": [{"id": "a", "meta": {}}], "edges": [], "extra": [{}]}',
-            '{"name": "x", "services": [{"id": "a"}], "deep": ' + _DEEP + "}",
-            "null",
-            "[]",
-            '[{"name": "x", "name": "y"}]',
-            "5",
+            ('{"name": "x", "services": [], "name": "y"}', (ParseError, "duplicate key 'name'")),
+            ('{"name": "x", "services": [{"id": "a", "classes": 1, "id": "b"}]}', (ParseError, "duplicate key 'id'")),
+            (
+                '{"name": "x", "services": [{"id": "a"}, {"id": "b"}], "edges": [{"source": "a", "target": "b",'
+                ' "weight": 2, "weight": 7}]}',
+                (ParseError, "duplicate key 'weight'"),
+            ),
+            (
+                '{"name": "x", "services": [{"id": "a", "meta": {"owner": "p", "owner": "q"}}]}',
+                (ParseError, "duplicate key 'owner'"),
+            ),
+            (
+                '{"name": "x", "services": [{"id": "a:1"}, {"id": "b"}], "edges": [{"source": "a:1", "target": "b"}]}',
+                ProjectDescriptor("x", (ServiceNode("a:1"), ServiceNode("b")), (DependencyEdge("a:1", "b"),)),
+            ),
+            (
+                '{"name": "x", "services": [{"id": "a", "source_dir": "c:/src/a"}]}',
+                ProjectDescriptor("x", (ServiceNode("a"),), (), {"a": "c:/src/a"}),
+            ),
+            ('{"name": "x", "services": [{"id": "a", "id": "b"}], "edges": [}', (ParseError, "duplicate key 'id'")),
+            (
+                '{"name": "x", "services": [{"id": "a", "id": "b"}], "deep": ' + _DEEP + "}",
+                (ParseError, "duplicate key 'id'"),
+            ),
+            ('{"name": "x", "services": [{"id": "a", "meta": {}}], "edges": [], "extra": [{}]}', _ONE_SERVICE),
+            (
+                '{"name": "x", "services": [{"id": "a"}], "deep": ' + _DEEP + "}",
+                (RecursionError, "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+            ),
+            ("null", (ParseError, "descriptor must be a JSON object")),
+            ("[]", (ParseError, "descriptor must be a JSON object")),
+            ('[{"name": "x", "name": "y"}]', (ParseError, "duplicate key 'name'")),
+            ("5", (ParseError, "descriptor must be a JSON object")),
         ],
         ids=[
             "repeat-top-level", "repeat-in-service", "repeat-in-edge", "repeat-in-nested-object", "colon-in-id",
@@ -871,20 +879,8 @@ class TestJsonFastPath:
             "too-deep", "top-level-null", "top-level-array", "top-level-array-with-repeat", "top-level-number",
         ],
     )
-    def test_matches_the_hooked_decode(self, text):
-        expected = _either(_hooked_parse, text)
+    def test_gives_the_recorded_result(self, text, expected):
         assert _either(parse_project_descriptor, text) == expected
-        if "deep" in text:  # the plain decode fails here, and the hooked one may meet a repeat first
-            assert _either(json.loads, text)[0] is RecursionError
-
-    def test_plain_descriptor_decodes_once_without_the_hook(self, monkeypatch):
-        hooked = []
-        monkeypatch.setattr(ingest, "_json_object", lambda pairs: hooked.append(pairs) or dict(pairs))
-        text = json.dumps(json.loads(MINIMAL_DESCRIPTOR) | {"version": 2})
-        assert parse_project_descriptor(text) == _hooked_parse(text)
-        assert hooked == []
-        parse_project_descriptor(text.replace('"web"', '"web:1"'))  # a colon in a string pays the hooked decode too
-        assert len(hooked) == 4
 
     def test_a_repeated_edge_key_sums_without_record_checks(self, checked_inits):
         document = json.loads(MINIMAL_DESCRIPTOR)
