@@ -141,6 +141,10 @@ class _Record:
         object.__setattr__(record, "__dict__", {**vars(self), **changes})
         return record
 
+    def _set(self, *values) -> None:
+        """Store ``values``, in field order, as a new ``__dict__``: on Python 3.13 a filled instance dict is larger."""
+        object.__setattr__(self, "__dict__", dict(zip(self._fields, values)))
+
     def _values(self) -> tuple:
         return tuple(map(vars(self).__getitem__, self._fields))
 
@@ -248,10 +252,10 @@ class ServiceGraph(_Record):
         neighbours = {s: tuple(sorted(out[s].keys() | in_[s].keys())) for s in ids}
         degrees = {s: (sum(out[s].values()), sum(in_[s].values())) for s in ids}
         max_degree = max(map(sum, degrees.values()), default=0)
-        vars(self).update(
+        object.__setattr__(self, "__dict__", dict(
             nodes=tuple(by_id[service] for service in ids), edges=edges,
             _out=out, _in=in_, _neighbours=neighbours, _degrees=degrees, _max_degree=max_degree,
-        )
+        ))
 
     # -- construction -----------------------------------------------------
 

@@ -52,8 +52,7 @@ class ProjectDescriptor(_Record):
     ):
         if error := _id_fault(name, "project name"):
             raise error
-        source_dirs = {} if source_dirs is None else source_dirs
-        vars(self).update(name=name, services=services, edges=edges, source_dirs=source_dirs)
+        self._set(name, services, edges, {} if source_dirs is None else source_dirs)
 
 
 # The JSON key of each record field, in field order; a service's source_dir is the descriptor's own field.

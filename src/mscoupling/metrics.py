@@ -43,7 +43,7 @@ class PairMetrics(_Record):
     """The values of one ``(outdegree, indegree)`` pair class, shared by its pairs."""
 
     def __init__(self, degree: int, outdegree: int, indegree: int, lwf: float, gwf: float, sc: float):
-        vars(self).update(degree=degree, outdegree=outdegree, indegree=indegree, lwf=lwf, gwf=gwf, sc=sc)
+        self._set(degree, outdegree, indegree, lwf, gwf, sc)
 
 
 PairRow = tuple[ServiceId, ServiceId, PairMetrics]
@@ -59,10 +59,7 @@ class ServiceMetrics(_Record):
         self, id: ServiceId, indegree: int, outdegree: int, degree: int, class_count: int | None, cbm: float | None,
         ais: int, ads: int, acs: int,
     ):
-        vars(self).update(
-            id=id, indegree=indegree, outdegree=outdegree, degree=degree, class_count=class_count, cbm=cbm,
-            ais=ais, ads=ads, acs=acs,
-        )
+        self._set(id, indegree, outdegree, degree, class_count, cbm, ais, ads, acs)
 
 
 class StatSummary(_Record):
@@ -72,7 +69,7 @@ class StatSummary(_Record):
         self, count: int, max: float | None = None, avg: float | None = None, median: float | None = None,
         stdev: float | None = None, total: float | None = None,
     ):
-        vars(self).update(count=count, max=max, avg=avg, median=median, stdev=stdev, total=total)
+        self._set(count, max, avg, median, stdev, total)
 
 
 class ProjectSummary(_Record):
@@ -87,7 +84,7 @@ class ProjectSummary(_Record):
         self, project_name: str, degree: StatSummary, lwf: StatSummary, gwf: StatSummary, sc: StatSummary,
         cbm: StatSummary, siy: int,
     ):
-        vars(self).update(project_name=project_name, degree=degree, lwf=lwf, gwf=gwf, sc=sc, cbm=cbm, siy=siy)
+        self._set(project_name, degree, lwf, gwf, sc, cbm, siy)
 
 
 def pair_metrics(graph: ServiceGraph, s1: ServiceId, s2: ServiceId) -> PairMetrics:
@@ -160,7 +157,7 @@ class Analysis(_Record):
     """A graph with its pair table and service table, each computed once."""
 
     def __init__(self, graph: ServiceGraph, pairs: tuple[PairRow, ...], services: tuple[ServiceMetrics, ...]):
-        vars(self).update(graph=graph, pairs=pairs, services=services)
+        self._set(graph, pairs, services)
 
 
 def analyze(graph: ServiceGraph) -> Analysis:

@@ -43,7 +43,7 @@ class RenderOptions(_Record):
         # a double carries at most 17 significant digits
         if not _is_int(decimal_places) or not 0 <= decimal_places <= 17:
             raise ValidationError(f"decimal_places must be an integer in [0, 17], got {_shown(decimal_places)}")
-        vars(self).update(hub_fraction=hub_fraction, hub_min_degree=hub_min_degree, decimal_places=decimal_places)
+        self._set(hub_fraction, hub_min_degree, decimal_places)
 
 
 def classify(analysis: Analysis, row: ServiceMetrics, options: RenderOptions = RenderOptions()) -> ColorClass:

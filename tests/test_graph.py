@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import sys
 
 import networkx
 import pytest
@@ -412,6 +413,15 @@ class TestRecords:
 
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is cls and copy == record and repr(copy) == text
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_constructor_and_copy_have_one_dict_size(self, name):
+        # On Python 3.13 an instance dict filled in place is larger than one built from the same items.
+        cls, fields, args, _, _ = RECORDS[name]
+        fields = fields.split()
+        records = cls(*args), cls(**dict(zip(fields, args))), cls(*args)._replace(**{fields[-1]: args[-1]})
+        built = dict(vars(records[0]).items())
+        assert {sys.getsizeof(vars(record)) for record in records} == {sys.getsizeof(built)}
 
     def test_each_descriptor_gets_its_own_source_dirs(self):
         assert ProjectDescriptor("a").source_dirs is not ProjectDescriptor("a").source_dirs
