@@ -2,8 +2,9 @@
 
 Everything here works directly on a raw ``(source, target, weight)``
 edge list plus the service name list, sharing no code with the package
-under test.  Slow and obvious on purpose.  The one exception,
-``pair_matrix_csv``, re-lays an analysis's pair rows as a dense table.
+under test.  Slow and obvious on purpose.  The exceptions:
+``pair_matrix_csv`` re-lays an analysis's pair rows as a dense table,
+and ``first_repeated_key`` reads a JSON value written out as pairs.
 """
 
 from __future__ import annotations
@@ -159,3 +160,28 @@ def articulation_points(services, edges):
 def source_units(directory):
     """The ``.java`` files under ``directory`` as ``Path.rglob`` sees them."""
     return sum(1 for path in Path(directory).rglob("*") if path.is_file() and path.suffix == ".java")
+
+
+def first_repeated_key(value):
+    """The key that the first JSON object to close with a repeated key repeats first; None if none repeats.
+
+    An object is a list of ``(key, value)`` pairs in text order, so it can
+    hold a key twice, and an array is a tuple.  An object closes after
+    every value inside it, and those close in text order.
+    """
+    if isinstance(value, tuple):
+        items = value
+    elif isinstance(value, list):
+        items = [item for _, item in value]
+    else:
+        return None
+    for item in items:
+        key = first_repeated_key(item)
+        if key is not None:
+            return key
+    if isinstance(value, list):
+        keys = [key for key, _ in value]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                return key
+    return None

@@ -834,6 +834,63 @@ _DEEP = "[" * 100_000 + "]" * 100_000  # deeper than any recursion limit of the 
 _ONE_SERVICE = ProjectDescriptor("x", (ServiceNode("a"),))
 
 
+def _unique(pairs) -> list:
+    """An object of ``pairs`` without those whose key an earlier pair holds."""
+    seen = set()
+    return [(key, value) for key, value in pairs if not (key in seen or seen.add(key))]
+
+
+# A JSON value as the descriptor text below is drawn: an object is a list of (key, value) pairs in text order,
+# so it can hold a key twice, and an array is a tuple.  Keys and strings hold `:`, quotes and braces.
+_KEY_TEXT = st.text(alphabet='ab:"\\{}', max_size=3)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | _KEY_TEXT,
+    lambda inner: st.lists(inner, max_size=3).map(tuple)
+    | st.lists(st.tuples(_KEY_TEXT, inner), max_size=3).map(_unique),
+    max_leaves=6,
+)
+# Known fields of either record, to be read or warned about, and unknown ones with nested values.
+_ANY_FIELDS = st.lists(
+    st.sampled_from([("classes", 2), ("loc", 9), ("source_dir", "c:/src"), ("weight", 3), ("kind", "call")])
+    | st.tuples(_KEY_TEXT, _VALUES),
+    max_size=3,
+)
+
+
+def _objects(value) -> list:
+    """Every object in ``value``, outermost first."""
+    if isinstance(value, list):
+        return [value, *(found for _, item in value for found in _objects(item))]
+    if isinstance(value, tuple):
+        return [found for item in value for found in _objects(item)]
+    return []
+
+
+def _write(value) -> str:
+    """``value`` as JSON text, every object's pairs in order, a repeated key included."""
+    if isinstance(value, list):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_write(item)}" for key, item in value) + "}"
+    if isinstance(value, tuple):
+        return "[" + ", ".join(map(_write, value)) + "]"
+    return json.dumps(value)
+
+
+@st.composite
+def _descriptor_trees(draw) -> list:
+    """A descriptor with `:` in ids and paths, unknown and nested fields, and at most one repeated key."""
+    ids = draw(st.lists(st.text(alphabet="ab:1", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=4))
+    services = tuple(_unique([("id", service), *draw(_ANY_FIELDS)]) for service in ids)
+    edges = tuple(_unique([("source", a), ("target", b), *draw(_ANY_FIELDS)]) for a, b in pairs if a != b)
+    top = [("name", draw(st.sampled_from(["shop", "a:b"]))), ("services", services), ("edges", edges)]
+    tree = _unique(draw(st.permutations(top + draw(_ANY_FIELDS))))
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([found for found in _objects(tree) if found]))
+        key = draw(st.sampled_from([key for key, _ in target]))
+        target.insert(draw(st.integers(0, len(target))), (key, draw(_VALUES)))
+    return tree
+
+
 class TestJsonDecode:
     # Each result as the descriptor parse gave it while a colon-counted plain decode ran before the hooked one.
     @pytest.mark.parametrize(
@@ -881,6 +938,16 @@ class TestJsonDecode:
     )
     def test_gives_the_recorded_result(self, text, expected):
         assert _either(parse_project_descriptor, text) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_descriptor_trees())
+    def test_a_repeated_key_anywhere_is_named(self, tree):
+        text = _write(tree)
+        result = _either(parse_project_descriptor, text)
+        if (key := oracles.first_repeated_key(tree)) is not None:
+            assert result == (ParseError, f"duplicate key {key!r}")
+        else:
+            assert result == _either(parse_project_descriptor, json.dumps(json.loads(text)))
 
     def test_a_repeated_edge_key_sums_without_record_checks(self, checked_inits):
         document = json.loads(MINIMAL_DESCRIPTOR)
