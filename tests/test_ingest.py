@@ -831,7 +831,6 @@ def _either(parse, text):
 
 
 _DEEP = "[" * 100_000 + "]" * 100_000  # deeper than any recursion limit of the JSON decoder
-_ONE_SERVICE = ProjectDescriptor("x", (ServiceNode("a"),))
 
 
 def _unique(pairs) -> list:
@@ -892,7 +891,8 @@ def _descriptor_trees(draw) -> list:
 
 
 class TestJsonDecode:
-    # Each result as the descriptor parse gave it while a colon-counted plain decode ran before the hooked one.
+    # Inputs that told a colon-counted plain decode from the hooked one while both existed, with their results then:
+    # colons in strings, nested objects, and a repeat before a syntax error or before too deep a nesting.
     @pytest.mark.parametrize(
         "text, expected",
         [
@@ -920,7 +920,10 @@ class TestJsonDecode:
                 '{"name": "x", "services": [{"id": "a", "id": "b"}], "deep": ' + _DEEP + "}",
                 (ParseError, "duplicate key 'id'"),
             ),
-            ('{"name": "x", "services": [{"id": "a", "meta": {}}], "edges": [], "extra": [{}]}', _ONE_SERVICE),
+            (
+                '{"name": "x", "services": [{"id": "a", "meta": {}}], "edges": [], "extra": [{}]}',
+                ProjectDescriptor("x", (ServiceNode("a"),)),
+            ),
             (
                 '{"name": "x", "services": [{"id": "a"}], "deep": ' + _DEEP + "}",
                 (RecursionError, "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
