@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 bad input or options, 2 I/O failure, 3 corpus
 finished with at least one failed project.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools
@@ -64,30 +62,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mscoupling",
         description="Structural coupling metrics and visualizations for microservice dependency graphs.",
     )
-    defaults = RenderOptions()
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", type=Path, default=Path("out"), help="output directory (default ./out)")
-    common.add_argument("--emit", default="csv,dot", help="comma-separated outputs: csv,dot,svg (default csv,dot)")
-    common.add_argument("--decimal-places", type=int, default=defaults.decimal_places, metavar="N")
-    common.add_argument("--hub-fraction", type=float, default=defaults.hub_fraction, metavar="F")
-    common.add_argument("--hub-min-degree", type=int, default=defaults.hub_min_degree, metavar="N")
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", dest="fmt", choices=FORMATS, default="auto")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    analyze = sub.add_parser("analyze", parents=[common, fmt], help="analyze one project")
-    analyze.add_argument("input", type=Path)
-    analyze.set_defaults(run=cmd_analyze)
-    corpus = sub.add_parser("corpus", parents=[common], help="analyze every project under a corpus root")
+    analyze = sub.add_parser("analyze", help="analyze one project")
+    corpus = sub.add_parser("corpus", help="analyze every project under a corpus root")
+    example = sub.add_parser("example", help="analyze the built-in demo system")
+    render = sub.add_parser("render", help="emit only the DOT/SVG drawings")
+    defaults = RenderOptions()
+    for command, handler in zip((analyze, corpus, example, render), (cmd_analyze, cmd_corpus, cmd_example, cmd_render)):
+        command.set_defaults(run=handler)
+        command.add_argument("--out", type=Path, default=Path("out"), help="output directory (default ./out)")
+        command.add_argument("--emit", default="csv,dot", help="comma-separated outputs: csv,dot,svg (default csv,dot)")
+        command.add_argument("--decimal-places", type=int, default=defaults.decimal_places, metavar="N")
+        command.add_argument("--hub-fraction", type=float, default=defaults.hub_fraction, metavar="F")
+        command.add_argument("--hub-min-degree", type=int, default=defaults.hub_min_degree, metavar="N")
+    for command in (analyze, render):
+        command.add_argument("--format", dest="fmt", choices=FORMATS, default="auto")
+        command.add_argument("input", type=Path)
     corpus.add_argument("input", type=Path, metavar="root")
     corpus.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes (1 runs in-process)")
-    corpus.set_defaults(run=cmd_corpus)
-    example = sub.add_parser("example", parents=[common], help="analyze the built-in demo system")
-    example.set_defaults(run=cmd_example)
-    render = sub.add_parser("render", parents=[common, fmt], help="emit only the DOT/SVG drawings")
-    render.add_argument("input", type=Path)
-    render.set_defaults(run=cmd_render)
     return parser
 
 

@@ -5,8 +5,6 @@ CLI) can distinguish bad input data from genuine I/O failures, which are
 left as the builtin ``OSError`` family.
 """
 
-from __future__ import annotations
-
 
 def _shown(value: object) -> str:
     """``repr(value)`` cut to at most 80 characters, for echoing an input value in a message."""

@@ -14,8 +14,6 @@ from A to B weigh 3, not 1), sorted neighbours and ``(out, in)`` degree
 pair, and the largest degree; every method and metric reads these tables.
 """
 
-from __future__ import annotations
-
 import operator
 from collections.abc import Iterable, Mapping
 from enum import Enum
@@ -153,6 +151,10 @@ class _Record:
 
     def __hash__(self):
         return hash(self._values())
+
+    def __reduce__(self):
+        """Pickle and copy rebuild the record through its constructor, which checks it and builds a compact dict."""
+        return type(self), self._values()
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))

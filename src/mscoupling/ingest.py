@@ -13,8 +13,6 @@ Three input formats are supported:
 a corpus root so whole project collections can be analyzed in a batch.
 """
 
-from __future__ import annotations
-
 import json
 import os
 from functools import cache

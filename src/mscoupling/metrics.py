@@ -26,8 +26,6 @@ over the rows in pair order; their stdev is exact and, on Python >= 3.11,
 matches ``statistics.pstdev`` bit for bit.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from collections import Counter

@@ -11,8 +11,6 @@ formats a pair value once per class, keyed by that object's ``id``.  The four
 matrices share one walk over the pairs and join each matrix's text once.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 

@@ -1,7 +1,5 @@
 """Built-in demo system used by the ``example`` CLI command."""
 
-from __future__ import annotations
-
 from .graph import DependencyEdge, ServiceGraph, ServiceNode
 
 SAMPLE_PROJECT_NAME = "example"
